@@ -49,7 +49,8 @@ from .fragmentation import (
     make_map,
     phase_ambiguity,
 )
-from .ngram import ContextPredictor, fit, log_loss, log_loss_total, optimal_predictor
+from .ngram import (ContextPredictor, fit, in_sample_log_loss, log_loss, log_loss_total,
+                    optimal_predictor)
 from .tokenizer import (
     PrefixVocabulary,
     TokenSequence,

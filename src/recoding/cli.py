@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .fragmentation import decompose, empirical_fragmented_loss, make_map
-from .ngram import fit, log_loss, optimal_predictor
+from .ngram import in_sample_log_loss, optimal_predictor
 from .sources import (
     Alphabet,
     TransitionKernel,
@@ -276,19 +276,12 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
             kernel = sample_kernel(src_size, order, d_alpha, seed)
             fmap = make_map(kernel.alphabet, Alphabet.of_size(2), block)
             seq = sample_sequence(kernel, n, seed)
-            src_pred_cache = {}
             for w in (order, order + 1):
                 report = decompose(kernel, fmap, w)
                 emp_frag = empirical_fragmented_loss(fmap, seq, w, l_alpha)
-                if w not in src_pred_cache:
-                    src_pred_cache[w] = log_loss(fit(seq, w, l_alpha, kernel.alphabet), seq)
-                emp_src = src_pred_cache[w]
-                rows.append([
-                    order, block, seed, w,
-                    report.source_loss, report.fragmented_loss,
-                    report.context_deficit, report.phase_ambiguity, report.gap,
-                    emp_frag, emp_src, emp_frag - report.source_loss,
-                ])
+                emp_src = in_sample_log_loss(seq, w, l_alpha, kernel.alphabet)
+                rows.append([order, block, seed, *report.csv_row(),
+                             emp_frag, emp_src, emp_frag - report.source_loss])
                 reports.append({
                     "order": order, "block_length": block, "seed": seed,
                     "empirical_fragmented_bits": emp_frag,

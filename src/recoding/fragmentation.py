@@ -12,7 +12,12 @@ by two non-negative terms:
 
 Everything here is computed by enumerating source tuples and projecting
 to fragment strings; fragment tuples are never enumerated directly, so
-the tables stay exactly consistent with the source law.
+the tables stay exactly consistent with the source law.  Each table is a
+(distinct contexts, |X|) mass matrix built with array operations: contexts
+are grouped on the raw bytes of their fragment rows, which is exact for
+any alphabet and window, and masses are summed in tuple order.
+Conditional entropies are one compensated sum over a table's nonzero
+entries.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from .errors import (
     InjectivityError,
     ParameterError,
 )
-from .ngram import fit, log_loss
-from .sources import Alphabet, TransitionKernel, window_law, conditional_entropy, DEFAULT_TABLE_BUDGET
+from .ngram import in_sample_log_loss
+from .sources import (Alphabet, TransitionKernel, cond_entropy_bits, conditional_entropy,
+                      window_law, DEFAULT_TABLE_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,19 @@ def fragment(fmap: FragmentationMap, y_sequence) -> np.ndarray:
     return fmap.codebook[seq].reshape(-1).astype(np.int32)
 
 
+def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows of a 2-D integer array, and how many differ.
+    Rows are compared as raw bytes (a void view), so ids are exact for any
+    alphabet size and row width: no row is packed into an integer that
+    could overflow."""
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.intp), 1
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    uniq, ids = np.unique(keys, return_inverse=True)
+    return ids.ravel(), uniq.size
+
+
 def defragment(fmap: FragmentationMap, x_sequence) -> np.ndarray:
     """Invert `fragment`; blocks not in the code raise AlphabetError."""
     seq = fmap.fragment_alphabet.encode(x_sequence)
@@ -178,36 +197,40 @@ def defragment(fmap: FragmentationMap, x_sequence) -> np.ndarray:
     if len(seq) % m:
         raise FormatError("fragment sequence length is not a multiple of the block length")
     blocks = seq.reshape(-1, m)
-    lut = {tuple(int(v) for v in fmap.codebook[i]): i for i in range(fmap.source_alphabet.size)}
-    out = np.empty(blocks.shape[0], dtype=np.int32)
-    for i, row in enumerate(blocks):
-        key = tuple(int(v) for v in row)
-        if key not in lut:
-            raise AlphabetError(f"block {key} is not a codeword")
-        out[i] = lut[key]
+    ysize = fmap.source_alphabet.size
+    # group codewords and blocks together; a block's id names its codeword
+    ids, n_ids = _row_ids(np.vstack([fmap.codebook, blocks]))
+    source_of = np.full(n_ids, -1, dtype=np.int32)
+    source_of[ids[:ysize]] = np.arange(ysize, dtype=np.int32)
+    out = source_of[ids[ysize:]]
+    bad = np.flatnonzero(out < 0)
+    if bad.size:
+        key = tuple(int(v) for v in blocks[bad[0]])
+        raise AlphabetError(f"block {key} is not a codeword")
     return out
 
 
-def _cond_entropy_bits(table: dict[bytes, np.ndarray]) -> float:
-    """H(target | context) from a joint table context -> mass vector."""
-    terms = []
-    for vec in table.values():
-        tot = vec.sum()
-        if tot <= 0:
-            continue
-        nz = vec[vec > 0]
-        terms.append(float(np.dot(nz, np.log2(tot / nz))))
-    return math.fsum(terms)
+def _mass_table(ids: np.ndarray, n_ids: int, targets: np.ndarray, weights: np.ndarray,
+                n_targets: int) -> np.ndarray:
+    """(n_ids, n_targets) matrix of the weights summed per (id, target).
+    `bincount` adds weights in input order, so each entry is summed in
+    the order of the rows."""
+    flat = np.bincount(ids * n_targets + targets, weights=weights, minlength=n_ids * n_targets)
+    return flat.reshape(n_ids, n_targets)
 
 
 def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int, table_budget: int):
     """Joint tables of (fragment context, target fragment) per phase.
 
     Enumerates the stationary joint over w+1 source symbols, maps each
-    tuple to its fragment string, and reads off for each phase the
-    length-Mw context, the full context back to the window start, and the
-    target fragment.  Returns (own, full, pooled) where own/full are
-    per-phase lists of dicts and pooled mixes phases with weight 1/M.
+    tuple of positive mass to its fragment string, and reads off for each
+    phase the length-Mw context, the full context back to the window
+    start, and the target fragment.  Each table is a (distinct contexts,
+    |X|) mass matrix: contexts are grouped on their fragment rows (see
+    `_row_ids`), so keys are exact for every map, and each entry sums its
+    tuples' masses in tuple order, phase after phase, as a loop over
+    tuples would.  Returns (own, full, pooled): own/full are per-phase
+    lists and pooled mixes the phases with weight 1/M.
     """
     a = kernel.alphabet_size
     m = fmap.block_length
@@ -218,110 +241,69 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int, tabl
             f"decomposition at w={w} needs {a**length} source tuples (budget {table_budget})"
         )
     joint = window_law(kernel, length, table_budget)
-    n_tuples = joint.size
-
-    # decode flat codes into per-symbol digits, oldest first
-    codes = np.arange(n_tuples, dtype=np.int64)
-    digits = np.empty((n_tuples, length), dtype=np.int64)
+    live = np.flatnonzero(joint > 0)
+    probs = joint[live]
+    # fragment string of each tuple, decoding its symbols newest first
+    codebook = fmap.codebook.astype(np.min_scalar_type(xa - 1))
+    frag = np.empty((live.size, length * m), dtype=codebook.dtype)
+    codes = live
     for pos in range(length - 1, -1, -1):
-        digits[:, pos] = codes % a
-        codes //= a
-    frag = fmap.codebook[digits].reshape(n_tuples, length * m)
+        codes, digit = np.divmod(codes, a)
+        frag[:, pos * m : (pos + 1) * m] = codebook[digit]
 
-    own: list[dict[bytes, np.ndarray]] = [dict() for _ in range(m)]
-    full: list[dict[bytes, np.ndarray]] = [dict() for _ in range(m)]
-    pooled: dict[bytes, np.ndarray] = {}
-    inv_m = 1.0 / m
     mw = m * w
-    probs = joint
-    for theta in range(1, m + 1):
-        tcol = mw + theta - 1
-        own_t = own[theta - 1]
-        full_t = full[theta - 1]
-        for i in range(n_tuples):
-            p = probs[i]
-            if p == 0.0:
-                continue
-            row = frag[i]
-            target = int(row[tcol])
-            own_key = row[theta - 1 : tcol].tobytes()
-            full_key = row[:tcol].tobytes()
-            vec = own_t.get(own_key)
-            if vec is None:
-                vec = np.zeros(xa)
-                own_t[own_key] = vec
-            vec[target] += p
-            vec = full_t.get(full_key)
-            if vec is None:
-                vec = np.zeros(xa)
-                full_t[full_key] = vec
-            vec[target] += p
-            vec = pooled.get(own_key)
-            if vec is None:
-                vec = np.zeros(xa)
-                pooled[own_key] = vec
-            vec[target] += p * inv_m
+    targets = frag[:, mw:].T  # (phase, tuple)
+    # one grouping of every phase's own context also serves the pooled table
+    own_ids, n_own = _row_ids(np.concatenate([frag[:, t : mw + t] for t in range(m)]))
+    own_ids = own_ids.reshape(m, live.size)
+    own = [_mass_table(own_ids[t], n_own, targets[t], probs, xa) for t in range(m)]
+    pooled = _mass_table(own_ids.ravel(), n_own, targets.ravel(),
+                         np.tile(probs * (1.0 / m), m), xa)
+    # phase 1's full context is its own context
+    full = own[:1] + [_mass_table(*_row_ids(frag[:, : mw + t]), targets[t], probs, xa)
+                      for t in range(1, m)]
     return own, full, pooled
 
 
-def exact_fragmented_loss(
-    kernel: TransitionKernel,
-    fmap: FragmentationMap,
-    w: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> float:
+def _losses(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
+            table_budget: int) -> tuple[float, float, float]:
+    """(fragmented loss, phase ambiguity, context deficit), bits per source
+    symbol, from one set of tables; each public function reads its term."""
+    own, full, pooled = _phase_tables(kernel, fmap, w, table_budget)
+    h_own = [cond_entropy_bits(t) for t in own]
+    frag_loss = fmap.block_length * cond_entropy_bits(pooled)
+    ambiguity = frag_loss - math.fsum(h_own)
+    deficit = math.fsum(h_own[t] - cond_entropy_bits(full[t]) for t in range(1, len(full)))
+    return frag_loss, ambiguity, deficit
+
+
+def exact_fragmented_loss(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
+                          table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
     """Optimal fragmented loss with an Mw-fragment window, bits per source
     symbol: M times the phase-pooled conditional entropy of the target
     fragment."""
-    _, _, pooled = _phase_tables(kernel, fmap, w, table_budget)
-    return fmap.block_length * _cond_entropy_bits(pooled)
+    return _losses(kernel, fmap, w, table_budget)[0]
 
 
-def phase_ambiguity(
-    kernel: TransitionKernel,
-    fmap: FragmentationMap,
-    w: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> float:
+def phase_ambiguity(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
+                    table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
     """Bits lost because the window hides the target's block position:
     M * [H(target | pooled context) - mean over phases of H(target | context)]."""
-    own, _, pooled = _phase_tables(kernel, fmap, w, table_budget)
-    per_phase = math.fsum(_cond_entropy_bits(t) for t in own)
-    return fmap.block_length * _cond_entropy_bits(pooled) - per_phase
+    return _losses(kernel, fmap, w, table_budget)[1]
 
 
-def context_deficit(
-    kernel: TransitionKernel,
-    fmap: FragmentationMap,
-    w: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> float:
+def context_deficit(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
+                    table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
     """Bits of source history the misaligned window cuts off: the summed
     conditional information the missing prefix carries about each target
     fragment.  Zero whenever w exceeds the Markov order."""
-    own, full, _ = _phase_tables(kernel, fmap, w, table_budget)
-    terms = []
-    for theta in range(2, fmap.block_length + 1):
-        terms.append(_cond_entropy_bits(own[theta - 1]) - _cond_entropy_bits(full[theta - 1]))
-    return math.fsum(terms)
+    return _losses(kernel, fmap, w, table_budget)[2]
 
 
-def decompose(
-    kernel: TransitionKernel,
-    fmap: FragmentationMap,
-    w: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> DecompositionReport:
+def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
+              table_budget: int = DEFAULT_TABLE_BUDGET) -> DecompositionReport:
     """Exact source loss, fragmented loss, and the two penalty terms."""
-    own, full, pooled = _phase_tables(kernel, fmap, w, table_budget)
-    m = fmap.block_length
-    frag_loss = m * _cond_entropy_bits(pooled)
-    per_phase = math.fsum(_cond_entropy_bits(t) for t in own)
-    ambiguity = frag_loss - per_phase
-    deficit = math.fsum(
-        _cond_entropy_bits(own[t - 1]) - _cond_entropy_bits(full[t - 1])
-        for t in range(2, m + 1)
-    )
+    frag_loss, ambiguity, deficit = _losses(kernel, fmap, w, table_budget)
     source_loss = conditional_entropy(kernel, w, table_budget)
     return DecompositionReport(
         w=w,
@@ -337,11 +319,10 @@ def empirical_fragmented_loss(
 ) -> float:
     """Laplace n-gram loss on the fragmented stream, bits per source symbol.
 
-    Fits an (Mw)-context model on the fragmented sequence and scales the
-    per-fragment loss by M, so the value is comparable to
-    `exact_fragmented_loss`.
+    Scores an (Mw)-context model fitted on the fragmented sequence on
+    that same sequence and scales the per-fragment loss by M, so the value
+    is comparable to `exact_fragmented_loss`.
     """
     x = fragment(fmap, y_sequence)
-    mw = fmap.block_length * w
-    predictor = fit(x, mw, laplace_alpha, alphabet=fmap.fragment_alphabet)
-    return fmap.block_length * log_loss(predictor, x)
+    m = fmap.block_length
+    return m * in_sample_log_loss(x, m * w, laplace_alpha, fmap.fragment_alphabet)

@@ -168,8 +168,10 @@ class ContextPredictor:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
-def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None) -> ContextPredictor:
-    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass."""
+def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None):
+    """Validate `fit`'s arguments and count every (context, next symbol):
+    (alphabet, sequence length, sorted distinct codes context * A + symbol,
+    their counts)."""
     if w < 0:
         raise ParameterError("w must be >= 0")
     if laplace_alpha < 0:
@@ -183,47 +185,61 @@ def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None
     a = alphabet.size
     if a ** (w + 1) > _CODE_LIMIT:
         raise CapacityError("context table space exceeds the code limit")
-    counts: dict[int, np.ndarray] = {}
     n = len(seq)
-    if n > w:
-        ctx = window_codes(seq, w, a)[: n - w]
-        flat = ctx * a + seq[w:]
-        uniq, cnt = np.unique(flat, return_counts=True)
-        ctx_codes = uniq // a
-        syms = uniq % a
-        bounds = np.flatnonzero(np.diff(ctx_codes, prepend=-1))
-        for b, e in zip(bounds, np.append(bounds[1:], uniq.size)):
-            vec = np.zeros(a, dtype=np.int64)
-            vec[syms[b:e]] = cnt[b:e]
-            counts[int(ctx_codes[b])] = vec
+    ctx = window_codes(seq, w, a)[: n - w]
+    codes, counts = np.unique(ctx * a + seq[w:], return_counts=True)
+    return alphabet, n, codes, counts
+
+
+def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None) -> ContextPredictor:
+    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass."""
+    alphabet, _, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
+    a = alphabet.size
+    ctx_codes = codes // a
+    syms = codes % a
+    counts: dict[int, np.ndarray] = {}
+    bounds = np.flatnonzero(np.diff(ctx_codes, prepend=-1))
+    for b, e in zip(bounds, np.append(bounds[1:], codes.size)):
+        vec = np.zeros(a, dtype=np.int64)
+        vec[syms[b:e]] = cnt[b:e]
+        counts[int(ctx_codes[b])] = vec
     return ContextPredictor(alphabet, w, alpha=laplace_alpha, counts=counts)
 
 
-def _position_probs(predictor: ContextPredictor, seq: np.ndarray) -> np.ndarray:
-    w = predictor.w
-    n = len(seq)
-    codes = window_codes(seq, w, predictor.alphabet.size)[: n - w]
-    rows = predictor.rows_for(codes)
-    return rows[np.arange(n - w), seq[w:]]
+def in_sample_log_loss(sequence, w: int, laplace_alpha: float,
+                       alphabet: Alphabet | None = None) -> float:
+    """Mean log-loss, bits, of the fitted model on its own training data.
+
+    Equals ``log_loss(fit(sequence, w, laplace_alpha, alphabet), sequence)``
+    but is read straight off the count table, as
+    -sum count(c,y) * log2 q(y|c) / (n - w), without building a predictor.
+    """
+    alphabet, n, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
+    if n <= w:
+        raise DataError("sequence must be longer than the context length")
+    a = alphabet.size
+    _, ctx = np.unique(codes // a, return_inverse=True)
+    totals = np.bincount(ctx, weights=cnt)[ctx]
+    q = (cnt + laplace_alpha) / (totals + laplace_alpha * a)
+    return float(-np.sum(cnt * np.log2(q)) / (n - w))
+
 
 def log_loss(predictor: ContextPredictor, sequence) -> float:
-    """Mean per-symbol log-loss, bits.  Infinite when a zero-probability
-    event occurs (possible only for unsmoothed fits)."""
+    """Mean per-symbol log-loss, bits: `log_loss_total` over the n - w
+    scored positions.  Infinite when a zero-probability event occurs
+    (possible only for unsmoothed fits)."""
     seq = predictor.alphabet.encode(sequence)
-    if len(seq) <= predictor.w:
-        raise DataError("sequence must be longer than the context length")
-    probs = _position_probs(predictor, seq)
-    if np.any(probs <= 0):
-        return math.inf
-    return float(-np.mean(np.log2(probs)))
+    return log_loss_total(predictor, seq) / (len(seq) - predictor.w)
 
 
 def log_loss_total(predictor: ContextPredictor, sequence) -> float:
     """Cumulative (unnormalized) log-loss over positions after the first w."""
     seq = predictor.alphabet.encode(sequence)
-    if len(seq) <= predictor.w:
+    w, n = predictor.w, len(seq)
+    if n <= w:
         raise DataError("sequence must be longer than the context length")
-    probs = _position_probs(predictor, seq)
+    rows = predictor.rows_for(window_codes(seq, w, predictor.alphabet.size)[: n - w])
+    probs = rows[np.arange(n - w), seq[w:]]
     if np.any(probs <= 0):
         return math.inf
     return float(-np.sum(np.log2(probs)))

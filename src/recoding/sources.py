@@ -326,11 +326,6 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-np.dot(nz, np.log2(nz)))
-
-
 def window_law(
     kernel: TransitionKernel, length: int, table_budget: int = DEFAULT_TABLE_BUDGET
 ) -> np.ndarray:
@@ -375,7 +370,12 @@ def conditional_entropy(
             f"conditional entropy at w={w} needs {needed} table entries "
             f"(budget {table_budget})"
         )
-    table = window_law(kernel, w + 1, table_budget).reshape(-1, a)
+    return cond_entropy_bits(window_law(kernel, w + 1, table_budget).reshape(-1, a))
+
+
+def cond_entropy_bits(table: np.ndarray) -> float:
+    """H(target | context) in bits from a (contexts, targets) joint mass
+    matrix, as one compensated sum over its nonzero entries."""
     totals = table.sum(axis=1)
     rows, cols = np.nonzero(table)
     p = table[rows, cols]

@@ -19,6 +19,27 @@ def two_bit_map(four_symbols):
                       ["00", "01", "10", "11"])
 
 
+def wide_instance(seed, src_size=3, frag_size=36, block=6, order=1):
+    """Kernel and map with random distinct codewords; at the defaults a
+    w = 3 fragment row has 36**24 > 2**63 values."""
+    rng = generator(seed, 96)
+    kernel = r.sample_kernel(src_size, order, 0.5, seed)
+    words = []
+    while len(words) < src_size:
+        word = rng.integers(0, frag_size, size=block)
+        if not any(np.array_equal(word, v) for v in words):
+            words.append(word)
+    return kernel, r.make_map(kernel.alphabet, r.Alphabet.of_size(frag_size), block, words)
+
+
+def long_word_map(src_alphabet):
+    """Three 40-fragment codewords over 36 symbols: any base-36 packing of
+    a block into 64 bits gives one of its end columns weight 0 (mod 2**64),
+    since 36**39 is a multiple of 2**64."""
+    words = ["0" * 40, "z" + "0" * 39, "0" * 39 + "z"]
+    return r.make_map(src_alphabet, r.Alphabet.of_size(36), 40, words)
+
+
 def random_instance(seed):
     """Seeded small instance: kernel, map, and window length."""
     rng = generator(seed, 99)
@@ -83,6 +104,21 @@ class TestFragment:
     def test_unknown_symbol(self, two_bit_map):
         with pytest.raises(r.AlphabetError):
             r.fragment(two_bit_map, "abe")
+
+    def test_roundtrip_wide_map(self):
+        _, fmap = wide_instance(4)
+        y = generator(4, 98).integers(0, 3, size=500).astype(np.int32)
+        assert np.array_equal(r.defragment(fmap, r.fragment(fmap, y)), y)
+
+    def test_roundtrip_long_codewords(self):
+        fmap = long_word_map(r.Alphabet.of_size(3))
+        y = np.array([0, 1, 2, 2, 1, 0], dtype=np.int32)
+        assert np.array_equal(r.defragment(fmap, r.fragment(fmap, y)), y)
+
+    def test_first_bad_block_named(self):
+        fmap = r.make_map(r.Alphabet.of_size(3), r.Alphabet.of_size(2), 2, ["00", "01", "10"])
+        with pytest.raises(r.AlphabetError, match=r"block \(1, 1\) is not a codeword"):
+            r.defragment(fmap, "0110110011")
 
 
 class TestExactLosses:
@@ -160,13 +196,51 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_equivalence(self, seed):
-        kernel, fmap, w = random_instance(seed)
-        rep = r.decompose(kernel, fmap, w)
-        ref = oracle_fragmentation(kernel, fmap, w)
-        assert rep.fragmented_loss == pytest.approx(ref["fragmented_loss"], abs=1e-9)
-        assert rep.phase_ambiguity == pytest.approx(ref["phase_ambiguity"], abs=1e-9)
-        assert rep.context_deficit == pytest.approx(ref["context_deficit"], abs=1e-9)
-        assert rep.source_loss == pytest.approx(ref["source_loss"], abs=1e-9)
+        check_oracle(*random_instance(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_equivalence_wide_alphabet(self, seed):
+        kernel, fmap = wide_instance(seed)
+        for w in (0, 1, 3):
+            check_oracle(kernel, fmap, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_equivalence_custom_codebook(self, seed):
+        rng = generator(seed, 95)
+        frag_size = int(rng.integers(3, 6))
+        block = int(rng.integers(1, 4))
+        src_size = int(rng.integers(2, min(5, frag_size**block) + 1))
+        order = int(rng.integers(0, 3))
+        kernel, fmap = wide_instance(seed, src_size, frag_size, block, order)
+        check_oracle(kernel, fmap, int(rng.integers(0, 3)))
+
+    def test_oracle_equivalence_long_codewords(self):
+        kernel = r.sample_kernel(3, 1, 0.5, 2)
+        check_oracle(kernel, long_word_map(kernel.alphabet), 1)
+
+    def test_oracle_equivalence_alphabet_above_256(self):
+        # fragments 256 and 0 agree in their low byte
+        kernel = r.sample_kernel(3, 1, 0.5, 1)
+        words = [np.array([256, 1]), np.array([0, 1]), np.array([299, 3])]
+        fmap = r.make_map(kernel.alphabet, r.Alphabet.of_size(300), 2, words)
+        check_oracle(kernel, fmap, 2)
+
+    def test_oracle_equivalence_sixteen_symbols(self):
+        kernel = r.sample_kernel(16, 1, 0.5, 7)
+        check_oracle(kernel, r.make_map(kernel.alphabet, r.Alphabet.of_size(2), 4), 3)
+
+
+def check_oracle(kernel, fmap, w):
+    """decompose and the three single-term functions against the oracle."""
+    rep = r.decompose(kernel, fmap, w)
+    ref = oracle_fragmentation(kernel, fmap, w)
+    assert rep.fragmented_loss == pytest.approx(ref["fragmented_loss"], abs=1e-9)
+    assert rep.phase_ambiguity == pytest.approx(ref["phase_ambiguity"], abs=1e-9)
+    assert rep.context_deficit == pytest.approx(ref["context_deficit"], abs=1e-9)
+    assert rep.source_loss == pytest.approx(ref["source_loss"], abs=1e-9)
+    assert r.exact_fragmented_loss(kernel, fmap, w) == rep.fragmented_loss
+    assert r.phase_ambiguity(kernel, fmap, w) == rep.phase_ambiguity
+    assert r.context_deficit(kernel, fmap, w) == rep.context_deficit
 
 
 class TestEmpiricalLoss:

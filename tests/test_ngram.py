@@ -68,6 +68,50 @@ class TestLogLoss:
             r.log_loss(pred, "01")
 
 
+class TestInSampleLogLoss:
+    """in_sample_log_loss against its definition, log_loss(fit(...))."""
+
+    @staticmethod
+    def reference(seq, w, alpha, alphabet=None):
+        pred = r.fit(seq, w, alpha, alphabet)
+        return r.log_loss(pred, seq)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        a = int(rng.integers(2, 6))
+        w = int(rng.integers(0, 5))
+        alpha = float(rng.choice([0.0, 0.5, 1.0, 2.5]))
+        seq = rng.integers(0, a, size=int(rng.integers(w + 1, 3000))).astype(np.int32)
+        alphabet = r.Alphabet.of_size(a)
+        assert r.in_sample_log_loss(seq, w, alpha, alphabet) == pytest.approx(
+            self.reference(seq, w, alpha, alphabet), abs=1e-12)
+
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_unsmoothed_markov(self, binary, w):
+        seq = r.sample_sequence(r.sample_kernel(2, 2, 0.5, 5), 20_000, 6)
+        assert r.in_sample_log_loss(seq, w, 0.0, binary) == pytest.approx(
+            self.reference(seq, w, 0.0, binary), abs=1e-12)
+
+    def test_string_input(self):
+        text = "the cat sat on the mat and the rat sat on the cat"
+        for w in (0, 2):
+            assert r.in_sample_log_loss(text, w, 0.5) == pytest.approx(
+                self.reference(text, w, 0.5), abs=1e-12)
+
+    def test_single_target_contexts(self, binary):
+        # every context of "0101..." has one successor, so unsmoothed loss is 0
+        seq = "01" * 50
+        assert r.in_sample_log_loss(seq, 1, 0.0, binary) == 0.0
+        assert r.in_sample_log_loss(seq, 2, 0.5, binary) == pytest.approx(
+            self.reference(seq, 2, 0.5, binary), abs=1e-12)
+
+    def test_sequence_too_short(self, binary):
+        for seq in ("01", ""):
+            with pytest.raises(r.DataError):
+                r.in_sample_log_loss(seq, 2, 0.5, binary)
+
+
 class TestOptimalPredictor:
     def test_rows_equal_kernel_rows_at_order(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 1)
