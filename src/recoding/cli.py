@@ -3,10 +3,24 @@ CSV/JSON artifacts for the desk-scale analyses.
 
 Every command is a pure function of its configuration and seeds, so
 re-running it reproduces the output files byte for byte.  Configuration
-comes from an optional JSON file; individual flags override fields; the
-environment variable RECODING_OUT sets the root for relative output
-directories.  Exit codes: 0 success, 2 configuration error, 3 capacity
+comes from an optional JSON object (``--config``) keyed by the options'
+parameter names (``--n`` is ``n``, ``--seed`` is ``seeds``, ``--vocab``
+is ``vocab_files``); flags override its fields; the environment
+variable RECODING_OUT sets the root for relative output directories.
+Each option declares its key's default and parser once; an unknown key,
+or a value its parser rejects, is a configuration error naming the key
+or flag.  Exit codes: 0 success, 2 configuration error, 3 capacity
 error, 4 assumption violation.
+
+The paper-scale runs are ``recoding <command> --config configs/<file>``
+(flags apply on top, e.g. a smaller ``--n``):
+
+    frag-decompose  configs/frag-decompose.json
+    tok-train       configs/tok-train.json
+    span-cdf        configs/span-cdf.json, or configs/span-cdf.text.json
+                    with ``--text CORPUS`` (scripts/make_text_corpus.py)
+    transfer-check  configs/transfer-check.json
+    heavy-hitting   configs/heavy-hitting.json
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +56,7 @@ from .sources import (
     TransitionKernel,
     conditional_entropy,
     entropy_rate,
+    read_json,
     sample_kernel,
     sample_sequence,
     write_sequence,
@@ -53,13 +69,7 @@ from .spans import (
     worst_case_span,
 )
 from .tokenizer import PrefixVocabulary, greedy_parse, train_bpe, train_lzw
-from .transfer import (
-    loss_comparison,
-    make_typical,
-    smooth,
-    token_loss_per_source_symbol,
-    transfer,
-)
+from .transfer import compare_losses, make_typical, smooth, transfer
 
 _CONFIG_ERRORS = (
     ParameterError,
@@ -68,15 +78,12 @@ _CONFIG_ERRORS = (
     AlphabetError,
     PreconditionError,
     PositivityError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
 )
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated bag of experiment parameters."""
+    """Parsed experiment parameters; `hash` names them in artifact footers."""
 
     experiment: str
     seeds: list[int]
@@ -86,18 +93,6 @@ class ExperimentConfig:
     tokenizer: dict = field(default_factory=dict)
     windows: list[int] = field(default_factory=list)
     params: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if not self.seeds:
-            raise ParameterError("at least one seed is required")
-        if any(int(s) != s for s in self.seeds):
-            raise ParameterError("seeds must be integers")
-        if any(w < 1 for w in self.windows):
-            raise ParameterError("window lengths must be >= 1")
-        for key in ("text", "vocab"):
-            ref = self.params.get(key)
-            if ref is not None and not Path(ref).exists():
-                raise ParameterError(f"referenced file does not exist: {ref}")
 
     def hash(self) -> str:
         payload = {
@@ -113,28 +108,150 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _resolve_out(output_dir: str) -> Path:
-    import os
-
-    root = os.environ.get("RECODING_OUT")
-    path = Path(output_dir)
-    if not path.is_absolute() and root:
-        path = Path(root) / path
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# ------------------------------------------------------------------ settings
+# A parser takes a value as a JSON config or a flag gives it and returns it
+# in the form the run functions use, or raises ValueError.
 
 
-def _load_config(config_path: str | None) -> dict:
-    if not config_path:
-        return {}
-    return json.loads(Path(config_path).read_text())
+def _check(ok: bool, v, what: str):
+    if not ok:
+        raise ValueError(f"expected {what}, got {v!r}")
+    return v
 
 
-def _merge(defaults: dict, cfg: dict, flags: dict) -> dict:
-    out = dict(defaults)
-    out.update({k: v for k, v in cfg.items() if v is not None})
-    out.update({k: v for k, v in flags.items() if v is not None and v != ()})
+def _int(v):
+    return _check(isinstance(v, int) and not isinstance(v, bool), v, "an integer")
+
+
+def _positive(v):
+    return _check(_int(v) >= 1, v, "an integer >= 1")
+
+
+def _number(v):  # an int stays an int, so that a config's 2 and 2.0 hash as written
+    return _check(isinstance(v, (int, float)) and not isinstance(v, bool), v, "a number")
+
+
+def _text(v):
+    return _check(isinstance(v, str), v, "a string")
+
+
+def _file(v):
+    return _check(isinstance(v, str) and Path(v).is_file(), v, "an existing file")
+
+
+def _pair(v):
+    _check(isinstance(v, (list, tuple)) and len(v) == 2, v, "a k:M pair")
+    return _int(v[0]), _int(v[1])
+
+
+def _spec(v):
+    method, _, size = str(v).partition(":")
+    ok = v == "identity" or (method in ("bpe", "lzw") and size.isdecimal())
+    return _check(ok, v, "identity, bpe:V or lzw:d")
+
+
+def _list_of(item, what: str, split=None, empty_ok: bool = False):
+    """Parser of a JSON list of `item`s; a string, as a flag gives it, is a
+    comma list whose pieces `split` turns into items."""
+    def parse(v):
+        if isinstance(v, str) and split is not None:
+            try:
+                v = [split(piece) for piece in v.split(",")]
+            except ValueError:
+                raise ValueError(f"expected a comma list of {what}, got {v!r}") from None
+        _check(isinstance(v, (list, tuple)) and (empty_ok or v), v, f"a list of {what}")
+        return [item(x) for x in v]
+    return parse
+
+
+_ints = _list_of(_int, "integers", split=int)
+_windows = _list_of(_positive, "integers >= 1", split=int)
+_pairs = _list_of(_pair, "k:M pairs", split=lambda s: [int(x) for x in s.split(":")])
+_specs = _list_of(_spec, "tokenizer specs")
+_files = _list_of(_file, "files", empty_ok=True)
+
+
+def _read_config(path: str) -> dict:
+    try:
+        cfg = read_json(_file(path))
+    except ValueError as exc:
+        raise ParameterError(f"--config: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"--config: {path} must hold a JSON object")
+    return cfg
+
+
+class _Key(click.Option):
+    """A flag that is also a config key: the key's default and the parser
+    every value of the key goes through."""
+
+    def __init__(self, decls, key_default, parse, **attrs):
+        super().__init__(decls, **attrs)
+        self.key_default, self.parse = key_default, parse
+
+
+def _key(*decls, default, parse, **attrs):
+    """A `_Key` option; `default` is the config key's, click's stays unset."""
+    return click.option(*decls, cls=_Key, key_default=default, parse=parse, **attrs)
+
+
+def _options(*options):
+    """Apply option decorators in the order listed."""
+    def apply(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return apply
+
+
+def _source_keys(order: int, dirichlet_alpha: float, n: int):
+    return _options(
+        _key("--alphabet-size", type=int, default=2, parse=_int),
+        _key("--order", type=int, default=order, parse=_int),
+        _key("--dirichlet-alpha", type=float, default=dirichlet_alpha, parse=_number),
+        _key("--n", type=int, default=n, parse=_int),
+    )
+
+
+def _common_keys(seeds=(0,)):
+    return _options(
+        click.option("--config", "config_path", type=click.Path()),
+        _key("--seed", "seeds", type=int, multiple=True, default=seeds, parse=_ints),
+        _key("--output-dir", default="out", parse=_text),
+    )
+
+
+def _settings(config_path: str | None, flags: dict) -> dict:
+    """Each key of the running command: its default, overridden by the
+    config file, overridden by a flag given; every value is parsed."""
+    keys = {p.name: p for p in click.get_current_context().command.params
+            if isinstance(p, _Key)}
+    given = {key: (p.key_default, p.opts[0]) for key, p in keys.items()}
+    for key, value in (_read_config(config_path) if config_path else {}).items():
+        if key not in keys:
+            raise ParameterError(f"unknown config key {key!r} in {config_path}")
+        if value is not None:
+            given[key] = value, f"config key {key!r}"
+    for key, value in flags.items():
+        if value is not None and value != ():
+            given[key] = value, keys[key].opts[0]
+    out = {}
+    for key, (value, where) in given.items():
+        try:
+            out[key] = None if value is None else keys[key].parse(value)
+        except ValueError as exc:
+            raise ParameterError(f"{where}: {exc}") from None
     return out
+
+
+def _source(cfg: dict) -> dict:
+    return {k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")}
+
+
+def _config(experiment: str, cfg: dict, seeds=None, **groups) -> ExperimentConfig:
+    out = Path(os.environ.get("RECODING_OUT", "")) / cfg["output_dir"]
+    out.mkdir(parents=True, exist_ok=True)
+    return ExperimentConfig(experiment, seeds or cfg["seeds"], out, **groups)
 
 
 def _fmt(v) -> str:
@@ -156,11 +273,13 @@ def _write_json(path: Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
-def _exit_codes(fn):
+def _command(fn):
+    """Run a command body on its settings; exit with the code of this
+    package's errors."""
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(config_path, **flags):
         try:
-            return fn(*args, **kwargs)
+            return fn(_settings(config_path, flags))
         except _CONFIG_ERRORS as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
@@ -183,31 +302,12 @@ def main():
 
 
 @main.command("gen-source")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def gen_source_cmd(config_path, alphabet_size, order, dirichlet_alpha, n, seeds, output_dir):
+@_source_keys(order=1, dirichlet_alpha=0.5, n=10_000)
+@_common_keys()
+@_command
+def gen_source_cmd(cfg):
     """Sample a kernel and a stationary sequence to files."""
-    cfg = _merge(
-        {"alphabet_size": 2, "order": 1, "dirichlet_alpha": 0.5, "n": 10000,
-         "seeds": [0], "output_dir": "out"},
-        _load_config(config_path),
-        {"alphabet_size": alphabet_size, "order": order, "dirichlet_alpha": dirichlet_alpha,
-         "n": n, "seeds": list(seeds) or None, "output_dir": output_dir},
-    )
-    config = ExperimentConfig(
-        experiment="gen-source",
-        seeds=[int(s) for s in cfg["seeds"]],
-        output_dir=_resolve_out(cfg["output_dir"]),
-        source={k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")},
-    )
-    config.validate()
-    run_gen_source(config)
+    run_gen_source(_config("gen-source", cfg, source=_source(cfg)))
 
 
 def run_gen_source(config: ExperimentConfig) -> None:
@@ -224,44 +324,22 @@ def run_gen_source(config: ExperimentConfig) -> None:
 
 
 @main.command("frag-decompose")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--pairs", default=None, help="comma list of order:block, e.g. 1:2,2:3")
-@click.option("--kernels-per-pair", type=int, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--laplace-alpha", type=float, default=None)
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def frag_decompose_cmd(config_path, pairs, kernels_per_pair, n, dirichlet_alpha,
-                       laplace_alpha, seeds, output_dir):
+@_key("--pairs", default="1:2,1:3,1:4,2:2,2:3,3:2", parse=_pairs,
+      help="comma list of order:block, e.g. 1:2,2:3")
+@_key("--kernels-per-pair", type=int, default=8, parse=_positive)
+@_key("--n", type=int, default=500_000, parse=_int)
+@_key("--dirichlet-alpha", type=float, default=0.5, parse=_number)
+@_key("--laplace-alpha", type=float, default=0.5, parse=_number)
+@_common_keys(seeds=None)
+@_command
+def frag_decompose_cmd(cfg):
     """Exact penalty decomposition plus n-gram verification per (k, M)."""
-    cfg = _merge(
-        {"pairs": "1:2,1:3,1:4,2:2,2:3,3:2", "kernels_per_pair": 8, "n": 500000,
-         "dirichlet_alpha": 0.5, "laplace_alpha": 0.5, "seeds": None, "output_dir": "out"},
-        _load_config(config_path),
-        {"pairs": pairs, "kernels_per_pair": kernels_per_pair, "n": n,
-         "dirichlet_alpha": dirichlet_alpha, "laplace_alpha": laplace_alpha,
-         "seeds": list(seeds) or None, "output_dir": output_dir},
-    )
-    if isinstance(cfg["pairs"], str):
-        pair_list = []
-        for chunk in cfg["pairs"].split(","):
-            k_str, m_str = chunk.split(":")
-            pair_list.append((int(k_str), int(m_str)))
-    else:
-        pair_list = [(int(k), int(m)) for k, m in cfg["pairs"]]
-    seed_list = cfg["seeds"] or list(range(cfg["kernels_per_pair"]))
-    config = ExperimentConfig(
-        experiment="frag-decompose",
-        seeds=[int(s) for s in seed_list],
-        output_dir=_resolve_out(cfg["output_dir"]),
+    run_frag_decompose(_config(
+        "frag-decompose", cfg, seeds=cfg["seeds"] or list(range(cfg["kernels_per_pair"])),
         source={"n": cfg["n"], "dirichlet_alpha": cfg["dirichlet_alpha"]},
-        fragmentation={"pairs": pair_list},
+        fragmentation={"pairs": cfg["pairs"]},
         params={"laplace_alpha": cfg["laplace_alpha"]},
-    )
-    config.validate()
-    run_frag_decompose(config)
+    ))
 
 
 def run_frag_decompose(config: ExperimentConfig) -> None:
@@ -300,40 +378,17 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
 
 
 @main.command("tok-train")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--train-prefix", type=int, default=None)
-@click.option("--sizes", default=None, help="comma list of vocabulary sizes")
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def tok_train_cmd(config_path, alphabet_size, order, dirichlet_alpha, n, train_prefix,
-                  sizes, seeds, output_dir):
+@_source_keys(order=12, dirichlet_alpha=0.4, n=25_000_000)
+@_key("--train-prefix", type=int, default=500_000, parse=_int)
+@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints, help="comma list of vocabulary sizes")
+@_common_keys()
+@_command
+def tok_train_cmd(cfg):
     """Train pair-merge vocabularies per size; report compression ratios."""
-    cfg = _merge(
-        {"alphabet_size": 2, "order": 12, "dirichlet_alpha": 0.4, "n": 25_000_000,
-         "train_prefix": 500_000, "sizes": "2,4,6,8,10,15,20", "seeds": [0],
-         "output_dir": "out"},
-        _load_config(config_path),
-        {"alphabet_size": alphabet_size, "order": order, "dirichlet_alpha": dirichlet_alpha,
-         "n": n, "train_prefix": train_prefix, "sizes": sizes,
-         "seeds": list(seeds) or None, "output_dir": output_dir},
-    )
-    size_list = cfg["sizes"]
-    if isinstance(size_list, str):
-        size_list = [int(v) for v in size_list.split(",")]
-    config = ExperimentConfig(
-        experiment="tok-train",
-        seeds=[int(s) for s in cfg["seeds"]],
-        output_dir=_resolve_out(cfg["output_dir"]),
-        source={k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")},
-        tokenizer={"method": "bpe", "sizes": size_list, "train_prefix": cfg["train_prefix"]},
-    )
-    config.validate()
-    run_tok_train(config)
+    run_tok_train(_config(
+        "tok-train", cfg, source=_source(cfg),
+        tokenizer={"method": "bpe", "sizes": cfg["sizes"], "train_prefix": cfg["train_prefix"]},
+    ))
 
 
 def run_tok_train(config: ExperimentConfig) -> None:
@@ -362,59 +417,28 @@ def run_tok_train(config: ExperimentConfig) -> None:
 
 
 @main.command("span-cdf")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--text", default=None, type=click.Path(), help="analyze a text corpus instead of a synthetic source")
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--sizes", default=None, help="BPE vocabulary sizes to train")
-@click.option("--vocab", "vocab_files", multiple=True, type=click.Path(),
-              help="externally produced vocabulary JSON (repeatable)")
-@click.option("--train-prefix", type=int, default=None)
-@click.option("--windows", default=None, help="comma list of token-window lengths")
-@click.option("--span-max-mult", type=int, default=None, help="sweep w_s up to this multiple of w")
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def span_cdf_cmd(config_path, text, alphabet_size, order, dirichlet_alpha, n, sizes,
-                 vocab_files, train_prefix, windows, span_max_mult, seeds, output_dir):
+@_key("--text", type=click.Path(), default=None, parse=_file,
+      help="analyze a text corpus instead of a synthetic source")
+@_source_keys(order=12, dirichlet_alpha=0.4, n=2_000_000)
+@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints, help="BPE vocabulary sizes to train")
+@_key("--vocab", "vocab_files", multiple=True, type=click.Path(), default=(), parse=_files,
+      help="externally produced vocabulary JSON (repeatable)")
+@_key("--train-prefix", type=int, default=500_000, parse=_int)
+@_key("--windows", default="1,2,4,8,12", parse=_windows,
+      help="comma list of token-window lengths")
+@_key("--span-max-mult", type=int, default=20, parse=_int,
+      help="sweep w_s up to this multiple of w")
+@_common_keys()
+@_command
+def span_cdf_cmd(cfg):
     """Span histograms and slack curves per (tokenizer, window)."""
-    cfg = _merge(
-        {"text": None, "alphabet_size": 2, "order": 12, "dirichlet_alpha": 0.4,
-         "n": 2_000_000, "sizes": "2,4,6,8,10,15,20", "vocab_files": [],
-         "train_prefix": 500_000, "windows": "1,2,4,8,12", "span_max_mult": 20,
-         "seeds": [0], "output_dir": "out"},
-        _load_config(config_path),
-        {"text": text, "alphabet_size": alphabet_size, "order": order,
-         "dirichlet_alpha": dirichlet_alpha, "n": n, "sizes": sizes,
-         "vocab_files": list(vocab_files) or None, "train_prefix": train_prefix,
-         "windows": windows, "span_max_mult": span_max_mult,
-         "seeds": list(seeds) or None, "output_dir": output_dir},
-    )
-    size_list = cfg["sizes"]
-    if isinstance(size_list, str):
-        size_list = [int(v) for v in size_list.split(",")]
-    if cfg["vocab_files"]:
-        size_list = []
-    window_list = cfg["windows"]
-    if isinstance(window_list, str):
-        window_list = [int(v) for v in window_list.split(",")]
-    config = ExperimentConfig(
-        experiment="span-cdf",
-        seeds=[int(s) for s in cfg["seeds"]],
-        output_dir=_resolve_out(cfg["output_dir"]),
-        source={k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")},
-        tokenizer={"method": "bpe", "sizes": size_list, "train_prefix": cfg["train_prefix"],
-                   "vocab_files": cfg["vocab_files"]},
-        windows=window_list,
+    run_span_cdf(_config(
+        "span-cdf", cfg, source=_source(cfg),
+        tokenizer={"method": "bpe", "sizes": [] if cfg["vocab_files"] else cfg["sizes"],
+                   "train_prefix": cfg["train_prefix"], "vocab_files": cfg["vocab_files"]},
+        windows=cfg["windows"],
         params={"text": cfg["text"], "span_max_mult": cfg["span_max_mult"]},
-    )
-    for path in cfg["vocab_files"]:
-        if not Path(path).exists():
-            raise ParameterError(f"referenced file does not exist: {path}")
-    config.validate()
-    run_span_cdf(config)
+    ))
 
 
 def _ws_sweep(w: int, max_mult: int, lo: int, hi: int) -> list[int]:
@@ -427,9 +451,9 @@ def _ws_sweep(w: int, max_mult: int, lo: int, hi: int) -> list[int]:
 
 
 def run_span_cdf(config: ExperimentConfig) -> None:
-    text = config.params.get("text")
+    text = config.params["text"]
     sizes = config.tokenizer["sizes"]
-    vocab_files = config.tokenizer.get("vocab_files") or []
+    vocab_files = config.tokenizer["vocab_files"]
     prefix = config.tokenizer["train_prefix"]
     mult = config.params["span_max_mult"]
     seed = config.seeds[0]
@@ -480,45 +504,23 @@ def run_span_cdf(config: ExperimentConfig) -> None:
 
 
 @main.command("transfer-check")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--tokenizer", "tokenizers", multiple=True,
-              help="identity | bpe:V | lzw:d (repeatable)")
-@click.option("--window", "windows", type=int, multiple=True)
-@click.option("--ws", type=int, default=None, help="source context; default = empirical minimum span")
-@click.option("--eta", type=float, default=None)
-@click.option("--train-prefix", type=int, default=None)
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def transfer_check_cmd(config_path, alphabet_size, order, dirichlet_alpha, n, tokenizers,
-                       windows, ws, eta, train_prefix, seeds, output_dir):
+@_source_keys(order=2, dirichlet_alpha=0.5, n=200_000)
+@_key("--tokenizer", "tokenizers", multiple=True, default=("identity", "lzw:256"),
+      parse=_specs, help="identity | bpe:V | lzw:d (repeatable)")
+@_key("--window", "windows", type=int, multiple=True, default=(4,), parse=_windows)
+@_key("--ws", type=int, default=None, parse=_int,
+      help="source context; default = empirical minimum span")
+@_key("--eta", type=float, default=1e-6, parse=_number)
+@_key("--train-prefix", type=int, default=None, parse=_int)
+@_common_keys()
+@_command
+def transfer_check_cmd(cfg):
     """Transfer optimal predictors across vocabularies and verify bounds."""
-    cfg = _merge(
-        {"alphabet_size": 2, "order": 2, "dirichlet_alpha": 0.5, "n": 200_000,
-         "tokenizers": ["identity", "lzw:256"], "windows": [4], "ws": None,
-         "eta": 1e-6, "train_prefix": None, "seeds": [0], "output_dir": "out"},
-        _load_config(config_path),
-        {"alphabet_size": alphabet_size, "order": order, "dirichlet_alpha": dirichlet_alpha,
-         "n": n, "tokenizers": list(tokenizers) or None,
-         "windows": list(windows) or None, "ws": ws, "eta": eta,
-         "train_prefix": train_prefix, "seeds": list(seeds) or None,
-         "output_dir": output_dir},
-    )
-    config = ExperimentConfig(
-        experiment="transfer-check",
-        seeds=[int(s) for s in cfg["seeds"]],
-        output_dir=_resolve_out(cfg["output_dir"]),
-        source={k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")},
+    run_transfer_check(_config(
+        "transfer-check", cfg, source=_source(cfg),
         tokenizer={"specs": cfg["tokenizers"], "train_prefix": cfg["train_prefix"]},
-        windows=[int(w) for w in cfg["windows"]],
-        params={"ws": cfg["ws"], "eta": cfg["eta"]},
-    )
-    config.validate()
-    run_transfer_check(config)
+        windows=cfg["windows"], params={"ws": cfg["ws"], "eta": cfg["eta"]},
+    ))
 
 
 def _build_vocab_from_spec(spec: str, seq, alphabet, train_prefix):
@@ -527,11 +529,8 @@ def _build_vocab_from_spec(spec: str, seq, alphabet, train_prefix):
     method, _, arg = spec.partition(":")
     size = int(arg)
     train = seq if train_prefix is None else seq[:train_prefix]
-    if method == "bpe":
-        return train_bpe(train, size, alphabet), f"bpe{size}"
-    if method == "lzw":
-        return train_lzw(train, size, alphabet), f"lzw{size}"
-    raise ParameterError(f"unknown tokenizer spec {spec!r}")
+    trainer = train_bpe if method == "bpe" else train_lzw
+    return trainer(train, size, alphabet), f"{method}{size}"
 
 
 def run_transfer_check(config: ExperimentConfig) -> None:
@@ -546,28 +545,30 @@ def run_transfer_check(config: ExperimentConfig) -> None:
             vocab, name = _build_vocab_from_spec(
                 spec, seq, kernel.alphabet, config.tokenizer["train_prefix"])
             stream = greedy_parse(vocab, seq)
+            _, tok_rate = compression_stats(vocab, stream)
             for w in config.windows:
                 ws = config.params["ws"]
                 if ws is None:
                     ws = worst_case_span(vocab, w, "empirical", stream)
                 q = smooth(optimal_predictor(kernel, ws), eta)
-                report = loss_comparison(q, vocab, seq, w)
+                target = conditional_entropy(kernel, ws)
+                # gated at ws = q.w, the typical predictor's losses are the
+                # transferred predictor's, so one evaluation serves both
+                tp = transfer(q, vocab, w)
+                bd = make_typical(tp, ws).token_log_losses(stream)
+                report = compare_losses(tp, seq, bd)
                 report.update({
                     "seed": seed, "tokenizer": name, "w": w, "ws": ws,
                     "entropy_rate_bits": rate,
-                    "source_context_loss_bits": conditional_entropy(kernel, ws),
+                    "source_context_loss_bits": target,
                 })
-                tp = transfer(q, vocab, w)
-                typ = make_typical(tp, ws)
-                bd = typ.token_log_losses(stream)
-                _, tok_rate = compression_stats(vocab, stream)
                 eps = bd.bad_window_fraction()
                 slack = eps * tok_rate * math.log2(kernel.alphabet_size)
                 report["typical"] = {
                     "epsilon": eps,
                     "slack_bits": slack,
                     "per_source_symbol_bits": bd.per_source_symbol(),
-                    "bound_bits": conditional_entropy(kernel, ws) + slack,
+                    "bound_bits": target + slack,
                     "se_bits": bd.per_source_symbol_se(),
                 }
                 _write_json(config.output_dir / f"transfer_{name}_w{w}_seed{seed}.json", report)
@@ -591,56 +592,29 @@ def run_transfer_check(config: ExperimentConfig) -> None:
 
 
 @main.command("heavy-hitting")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--dirichlet-alpha", type=float, default=None)
-@click.option("--kernel", "kernel_file", default=None, type=click.Path(),
-              help="analyze this kernel JSON instead of sampling one")
-@click.option("--n", type=int, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--budgets", default=None, help="comma list of dictionary budgets")
-@click.option("--window", "window", type=int, default=None)
-@click.option("--eta-transfer", type=float, default=None)
-@click.option("--seed", "seeds", type=int, multiple=True)
-@click.option("--output-dir", default=None)
-@_exit_codes
-def heavy_hitting_cmd(config_path, alphabet_size, order, dirichlet_alpha, kernel_file,
-                      n, beta, budgets, window, eta_transfer, seeds, output_dir):
+@_source_keys(order=2, dirichlet_alpha=2.0, n=400_000)
+@_key("--kernel", type=click.Path(), default=None, parse=_file,
+      help="analyze this kernel JSON instead of sampling one")
+@_key("--beta", type=float, default=0.8, parse=_number)
+@_key("--budgets", default="16,64,256,1024", parse=_ints, help="comma list of dictionary budgets")
+@_key("--window", type=int, default=4, parse=_positive)
+@_key("--eta-transfer", type=float, default=1e-6, parse=_number)
+@_common_keys()
+@_command
+def heavy_hitting_cmd(cfg):
     """LZW budget sweep with token-length and end-to-end loss diagnostics."""
-    cfg = _merge(
-        {"alphabet_size": 2, "order": 2, "dirichlet_alpha": 2.0, "kernel": None,
-         "n": 400_000, "beta": 0.8, "budgets": "16,64,256,1024", "window": 4,
-         "eta_transfer": 1e-6, "seeds": [0], "output_dir": "out"},
-        _load_config(config_path),
-        {"alphabet_size": alphabet_size, "order": order, "dirichlet_alpha": dirichlet_alpha,
-         "kernel": kernel_file, "n": n, "beta": beta, "budgets": budgets,
-         "window": window, "eta_transfer": eta_transfer,
-         "seeds": list(seeds) or None, "output_dir": output_dir},
-    )
-    budget_list = cfg["budgets"]
-    if isinstance(budget_list, str):
-        budget_list = [int(v) for v in budget_list.split(",")]
-    config = ExperimentConfig(
-        experiment="heavy-hitting",
-        seeds=[int(s) for s in cfg["seeds"]],
-        output_dir=_resolve_out(cfg["output_dir"]),
-        source={k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")},
-        tokenizer={"method": "lzw", "budgets": budget_list},
-        windows=[int(cfg["window"])],
+    run_heavy_hitting(_config(
+        "heavy-hitting", cfg, source=_source(cfg),
+        tokenizer={"method": "lzw", "budgets": cfg["budgets"]}, windows=[cfg["window"]],
         params={"beta": cfg["beta"], "eta_transfer": cfg["eta_transfer"],
                 "kernel": cfg["kernel"]},
-    )
-    if cfg["kernel"] is not None and not Path(cfg["kernel"]).exists():
-        raise ParameterError(f"referenced file does not exist: {cfg['kernel']}")
-    config.validate()
-    run_heavy_hitting(config)
+    ))
 
 
 def run_heavy_hitting(config: ExperimentConfig) -> None:
     src = config.source
     beta = config.params["beta"]
-    kernel_file = config.params.get("kernel")
+    kernel_file = config.params["kernel"]
     w = config.windows[0]
     rows = []
     for seed in config.seeds:
@@ -675,7 +649,9 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
                         "bound_bits": bound,
                         "se_bits": bd.per_source_symbol_se(),
                     }
-                except CapacityError:
+                except CapacityError as exc:
+                    click.echo(f"seed {seed} d={d}: no end-to-end bound at w_d={w_d}: {exc}",
+                               err=True)
                     payload["end_to_end"] = None
             _write_json(config.output_dir / f"heavy_seed{seed}_d{d}.json", payload)
             rows.append([

@@ -174,7 +174,7 @@ def make_map(
 def fragment(fmap: FragmentationMap, y_sequence) -> np.ndarray:
     """Concatenate the codewords of a source sequence."""
     seq = fmap.source_alphabet.encode(y_sequence)
-    return fmap.codebook[seq].reshape(-1).astype(np.int32)
+    return fmap.codebook[seq].reshape(-1).astype(np.int32, copy=False)
 
 
 def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:

@@ -13,13 +13,11 @@ import math
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DataError, FormatError, ParameterError
 from .sources import Alphabet, TransitionKernel, window_law, DEFAULT_TABLE_BUDGET
 
 _CODE_LIMIT = 1 << 62
-_CHUNK = 1 << 20
 
 
 def window_codes(seq: np.ndarray, w: int, alphabet_size: int) -> np.ndarray:
@@ -35,14 +33,13 @@ def window_codes(seq: np.ndarray, w: int, alphabet_size: int) -> np.ndarray:
         raise CapacityError(f"context space {alphabet_size}**{w} exceeds code limit")
     if n < w:
         return np.zeros(0, dtype=np.int64)
-    powers = alphabet_size ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    view = sliding_window_view(np.asarray(seq), w)
-    out = np.empty(n - w + 1, dtype=np.int64)
-    step = max(1, _CHUNK // w)
-    for lo in range(0, out.size, step):
-        hi = min(lo + step, out.size)
-        out[lo:hi] = view[lo:hi] @ powers
-    return out
+    seq = np.asarray(seq)
+    m = n - w + 1
+    code = seq[:m].astype(np.int64)
+    for j in range(1, w):
+        code *= alphabet_size
+        code += seq[j : j + m]
+    return code
 
 
 class ContextPredictor:

@@ -138,9 +138,10 @@ class TransitionKernel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionKernel":
-        alphabet = Alphabet(tuple(obj["alphabet"]))
-        order = int(obj["order"])
-        flat = np.asarray(obj["probs"], dtype=np.float64)
+        labels, order, probs = json_fields(obj, "kernel", "alphabet", "order", "probs")
+        alphabet = Alphabet(tuple(labels))
+        order = int(order)
+        flat = np.asarray(probs, dtype=np.float64)
         rows = alphabet.size**order
         if flat.size != rows * alphabet.size:
             raise FormatError("probs array has the wrong number of entries")
@@ -151,7 +152,25 @@ class TransitionKernel:
 
     @classmethod
     def load(cls, path) -> "TransitionKernel":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
+
+
+def read_json(path):
+    """The JSON value stored in a file; FormatError if the file does not
+    hold JSON text."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise FormatError(f"{path} does not hold JSON: {exc}") from None
+
+
+def json_fields(obj, what: str, *keys: str) -> list:
+    """The values of `keys` in the JSON object `obj` describing a `what`;
+    FormatError naming the first key it lacks."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise FormatError(f"{what} JSON lacks the key {key!r}")
+    return [obj[key] for key in keys]
 
 
 @dataclass(frozen=True)

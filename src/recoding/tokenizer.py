@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .sources import Alphabet
-
-_BINCOUNT_LIMIT = 1 << 26
+from .sources import Alphabet, json_fields, read_json
 
 
 class PrefixVocabulary:
@@ -99,15 +97,15 @@ class PrefixVocabulary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrefixVocabulary":
-        alphabet = Alphabet(tuple(obj["alphabet"]))
-        return cls(alphabet, obj["entries"])
+        labels, entries = json_fields(obj, "vocabulary", "alphabet", "entries")
+        return cls(Alphabet(tuple(labels)), entries)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "PrefixVocabulary":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 @dataclass

@@ -296,9 +296,15 @@ def loss_comparison(
     """Cumulative source loss vs cumulative transferred token loss on one
     sequence, with the telescoping constant 2*log2(1/lambda_q)."""
     seq = vocab.alphabet.encode(y_sequence)
-    stream = greedy_parse(vocab, seq)
     tp = transfer(q, vocab, w)
-    breakdown = tp.token_log_losses(stream)
+    return compare_losses(tp, seq, tp.token_log_losses(greedy_parse(vocab, seq)))
+
+
+def compare_losses(tp: TransferredPredictor, seq: np.ndarray, breakdown: TokenLossBreakdown) -> dict:
+    """`loss_comparison` for a sequence already parsed and evaluated:
+    `breakdown` holds tp's per-token losses, gated at its predictor's
+    context length, along the greedy parse of the index sequence seq."""
+    q = tp.q
     source_total = log_loss_total(q, seq)
     token_total = breakdown.total()
     return {

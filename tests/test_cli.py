@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import recoding as r
+import recoding.cli as cli
 from recoding.cli import main
 
 
@@ -235,3 +237,90 @@ class TestConfigFile:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "flag_wins" / "decomposition.csv").exists()
         assert not (tmp_path / "from_config").exists()
+
+
+def assert_config_error(result, named):
+    """Exit 2 with one stderr line that names the bad key or flag."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and named in lines[0], result.stderr
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, config, named", [
+        (["gen-source"], {"alphabet_sise": 3}, "'alphabet_sise'"),
+        (["gen-source"], {"n": "1000"}, "'n'"),
+        (["gen-source", "--config", "missing.json"], None, "--config"),
+        (["gen-source"], [{"n": 1000}], "--config"),
+        (["gen-source"], "{not json", "--config"),
+        (["frag-decompose"], {"pairs": [[1, 2, 3]]}, "'pairs'"),
+        (["span-cdf"], {"vocab_files": "v.json"}, "'vocab_files'"),
+        (["frag-decompose", "--pairs", "1-2"], None, "--pairs"),
+        (["transfer-check", "--tokenizer", "bpe:x"], None, "--tokenizer"),
+        (["transfer-check", "--window", "0"], None, "--window"),
+        (["tok-train", "--sizes", "4,x"], None, "--sizes"),
+        (["heavy-hitting", "--budgets", "16,,64"], None, "--budgets"),
+        (["heavy-hitting", "--kernel", "missing.json"], None, "--kernel"),
+    ])
+    def test_exit_2_naming_the_key_or_flag(self, runner, tmp_path, argv, config, named):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        result = runner.invoke(main, argv + ["--output-dir", str(tmp_path)])
+        assert_config_error(result, named)
+
+    def test_vocab_file_not_json(self, runner, tmp_path):
+        vpath = tmp_path / "vocab.json"
+        vpath.write_text("entries: 01")
+        result = runner.invoke(main, [
+            "span-cdf", "--order", "1", "--n", "2000", "--vocab", str(vpath),
+            "--output-dir", str(tmp_path)])
+        assert_config_error(result, "vocab.json")
+
+    def test_kernel_file_missing_key(self, runner, tmp_path):
+        kpath = tmp_path / "kernel.json"
+        kpath.write_text(json.dumps({"alphabet": ["0", "1"], "order": 1}))
+        result = runner.invoke(main, [
+            "heavy-hitting", "--kernel", str(kpath), "--n", "1000", "--budgets", "4",
+            "--output-dir", str(tmp_path)])
+        assert_config_error(result, "'probs'")
+
+    def test_library_key_error_is_not_a_configuration_error(self, runner, tmp_path,
+                                                            monkeypatch):
+        def broken(config):
+            raise KeyError("entries")
+
+        monkeypatch.setattr(cli, "run_gen_source", broken)
+        result = runner.invoke(main, ["gen-source", "--output-dir", str(tmp_path)])
+        assert result.exit_code != 2
+        assert isinstance(result.exception, KeyError)
+
+
+EXPERIMENTS = ["frag-decompose", "tok-train", "span-cdf", "transfer-check", "heavy-hitting"]
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_every_experiment_has_a_config():
+    assert {p.name.split(".")[0] for p in CONFIGS} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_config_passes_its_command_checks(path):
+    command = main.commands[path.name.split(".")[0]]
+    with click.Context(command):
+        cli._settings(str(path), {})  # ParameterError on an unknown key or a bad value
+
+
+def test_capacity_skip_of_end_to_end_bound_is_reported(runner, tmp_path, monkeypatch):
+    def too_large(kernel, w):
+        raise r.CapacityError("joint table too large")
+
+    monkeypatch.setattr(cli, "conditional_entropy", too_large)
+    result = runner.invoke(main, [
+        "heavy-hitting", "--n", "20000", "--budgets", "64", "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "heavy_seed0_d64.json").read_text())["end_to_end"] is None
+    (line,) = [ln for ln in result.stderr.splitlines() if "end-to-end" in ln]
+    assert line.startswith("seed 0 d=64:") and "w_d=" in line

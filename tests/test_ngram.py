@@ -180,6 +180,27 @@ class TestWindowCodes:
         codes = window_codes(seq, 2, 2)
         assert codes.tolist() == [0b10, 0b01, 0b11, 0b110 & 0b11]
 
+    @pytest.mark.parametrize("a", [2, 3, 36])
+    @pytest.mark.parametrize("w", [1, 5, 12])
+    def test_matches_python_reference(self, a, w):
+        rng = np.random.default_rng(100 * a + w)
+        for n, dtype in ((w - 1, np.int64), (w, np.uint8), (300, np.int64), (301, np.uint8)):
+            seq = rng.integers(0, a, size=n).astype(dtype)
+            before = seq.copy()
+            if a**w > 1 << 62:  # 36**12
+                with pytest.raises(r.CapacityError):
+                    window_codes(seq, w, a)
+                continue
+            expected = []
+            for j in range(n - w + 1):
+                code = 0
+                for sym in seq[j : j + w].tolist():
+                    code = code * a + sym
+                expected.append(code)
+            codes = window_codes(seq, w, a)
+            assert codes.dtype == np.int64 and codes.tolist() == expected
+            assert np.array_equal(seq, before)  # the input is never written
+
     def test_w0(self):
         seq = np.zeros(5, dtype=np.int32)
         assert window_codes(seq, 0, 2).tolist() == [0] * 6
