@@ -458,7 +458,10 @@ def run_span_cdf(config: ExperimentConfig) -> None:
     mult = config.params["span_max_mult"]
     seed = config.seeds[0]
     if text:
-        corpus = Path(text).read_text()
+        try:
+            corpus = Path(text).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"--text {text} is not UTF-8 text: {exc}") from None
         alphabet = Alphabet.from_text(corpus)
         seq = alphabet.encode(corpus)
         label = "text"

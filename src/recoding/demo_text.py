@@ -28,7 +28,7 @@ def _word_inventory(rng: np.random.Generator, n_words: int) -> list[str]:
     words = set()
     while len(words) < n_words:
         k = int(rng.integers(1, 4))
-        words.add("".join(rng.choice(syllables) for _ in range(k)))
+        words.add("".join(syllables[int(rng.integers(0, len(syllables)))] for _ in range(k)))
     return sorted(words)
 
 
@@ -40,6 +40,9 @@ def synthesize_corpus(n_chars: int = 1_200_000, seed: int = 0, n_words: int = 50
     ranks = np.arange(1, len(content) + 1, dtype=np.float64)
     zipf = 1.0 / (ranks + 10.0) ** 1.05
     zipf /= zipf.sum()
+    # rng.choice(len(content), p=zipf) draws one uniform against this CDF
+    cdf = zipf.cumsum()
+    cdf /= cdf[-1]
 
     parts: list[str] = []
     total = 0
@@ -50,7 +53,7 @@ def synthesize_corpus(n_chars: int = 1_200_000, seed: int = 0, n_words: int = 50
             if rng.random() < 0.35:
                 word = _FUNCTION_WORDS[int(rng.integers(0, len(_FUNCTION_WORDS)))]
             else:
-                word = content[int(rng.choice(len(content), p=zipf))]
+                word = content[int(cdf.searchsorted(rng.random(), side="right"))]
             sentence.append(word)
             if 0 < j < length - 1 and rng.random() < 0.06:
                 sentence[-1] += ","

@@ -139,9 +139,17 @@ class TransitionKernel:
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionKernel":
         labels, order, probs = json_fields(obj, "kernel", "alphabet", "order", "probs")
-        alphabet = Alphabet(tuple(labels))
-        order = int(order)
-        flat = np.asarray(probs, dtype=np.float64)
+        alphabet = json_alphabet(labels, "kernel")
+        if type(order) is not int:
+            raise FormatError("kernel JSON key 'order' must hold an integer")
+        try:
+            flat = np.asarray(probs)
+            numeric = flat.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            raise FormatError("kernel JSON key 'probs' must hold numbers")
+        flat = flat.astype(np.float64)
         rows = alphabet.size**order
         if flat.size != rows * alphabet.size:
             raise FormatError("probs array has the wrong number of entries")
@@ -171,6 +179,14 @@ def json_fields(obj, what: str, *keys: str) -> list:
         if not isinstance(obj, dict) or key not in obj:
             raise FormatError(f"{what} JSON lacks the key {key!r}")
     return [obj[key] for key in keys]
+
+
+def json_alphabet(labels, what: str) -> Alphabet:
+    """The alphabet of a `what` JSON object from its 'alphabet' value;
+    FormatError unless that is a list of strings."""
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise FormatError(f"{what} JSON key 'alphabet' must hold a list of strings")
+    return Alphabet(tuple(labels))
 
 
 @dataclass(frozen=True)

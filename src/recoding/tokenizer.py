@@ -9,6 +9,7 @@ allows and emit the node reached.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .sources import Alphabet, json_fields, read_json
+from .sources import Alphabet, json_alphabet, json_fields, read_json
 
 
 class PrefixVocabulary:
@@ -29,7 +30,9 @@ class PrefixVocabulary:
             word = tuple(int(v) for v in alphabet.encode(s))
             if not word:
                 raise FormatError("vocabulary entries must be nonempty")
-            for j in range(1, len(word) + 1):
+            for j in range(len(word), 0, -1):  # closed stays prefix-closed
+                if word[:j] in closed:
+                    break
                 closed.add(word[:j])
         if budget is not None and len(closed) > budget:
             raise ParameterError(
@@ -98,7 +101,14 @@ class PrefixVocabulary:
     @classmethod
     def from_json(cls, obj: dict) -> "PrefixVocabulary":
         labels, entries = json_fields(obj, "vocabulary", "alphabet", "entries")
-        return cls(Alphabet(tuple(labels)), entries)
+        alphabet = json_alphabet(labels, "vocabulary")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, str) or isinstance(e, list) and all(isinstance(s, str) for s in e)
+            for e in entries
+        ):
+            raise FormatError(
+                "vocabulary JSON key 'entries' must hold a list of strings or of label lists")
+        return cls(alphabet, entries)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
@@ -182,41 +192,152 @@ def ext_set(vocab: PrefixVocabulary, token) -> frozenset[str]:
     return frozenset(syms[a] for a in np.flatnonzero(vocab.ext_mask[eid]))
 
 
-def _thin_overlaps(pos: np.ndarray) -> np.ndarray:
-    """Keep alternating positions inside each run of adjacent matches."""
-    if pos.size == 0:
+def _self_pair_merges(pos: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """The occurrences of a (v, v) pair that merge, given all of them
+    (ascending): the 1st, 3rd, ... of each run of linked occurrences, so
+    floor(m/2) in a run of m equal units, merged left to right."""
+    if pos.size < 2:
         return pos
     starts = np.empty(pos.size, dtype=bool)
     starts[0] = True
-    starts[1:] = np.diff(pos) > 1
-    run_start = pos[starts][np.cumsum(starts) - 1]
-    return pos[((pos - run_start) % 2) == 0]
+    starts[1:] = nxt[pos[:-1]] != pos[1:]
+    first = np.flatnonzero(starts)
+    take = np.repeat((first & 1) == 0, np.diff(first, append=pos.size))
+    take[1::2] ^= True  # take index k when k and its run's start share parity
+    return pos[take]
 
 
-def _pair_counts(ids: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping adjacent-pair counts via run-length encoding.
+def _groups(keys: np.ndarray, bound: int, min_size: int):
+    """(key, indices) for each value that at least min_size of `keys` (all
+    below `bound`) take, indices ascending.  Few possible keys take one
+    mask each, more a stable argsort, over uint16 (numpy's radix path)
+    when they fit."""
+    if bound <= 16:
+        for key in range(bound):
+            idx = np.flatnonzero(keys == key)
+            if idx.size >= min_size:
+                yield key, idx
+        return
+    order = np.argsort(keys.astype(np.uint16) if bound <= 1 << 16 else keys, kind="stable")
+    keys = keys[order]
+    lo = np.flatnonzero(np.diff(keys, prepend=-1))
+    hi = np.append(lo[1:], keys.size)
+    big = hi - lo >= min_size
+    for key, a, b in zip(keys[lo[big]].tolist(), lo[big].tolist(), hi[big].tolist()):
+        yield key, order[a:b]
 
-    A run of m equal units contributes floor(m/2) mergeable (v, v) pairs;
-    pairs across run boundaries are automatically non-overlapping.
-    Returns (codes, counts) for pairs with a positive count.
+
+def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[tuple[int, ...]]:
+    """The units of byte-pair merging over the index sequence `seq`, in
+    merge order: the single symbols, then the merged units.
+
+    Each round merges the pair of adjacent units with the most
+    non-overlapping occurrences in the current unit sequence (a run of m
+    equal units holds floor(m/2) occurrences of the pair (v, v), merged
+    left to right inside the run); ties break on the lexicographically
+    smallest (left, right) pair of unit strings in symbol-index order.
+    Rounds stop at target_size units or when one unit spans `seq`.
+
+    The sequence is a linked list over positions.  A heap holds one entry
+    per pair: a bound on its count and its occurrences as of some round,
+    as its own positions or as the positions it shares with the other
+    pairs of one new unit, picked out by the neighbouring unit.  A merge
+    creates pairs with the new unit only and never raises another pair's
+    count, so a popped entry is recounted on its live occurrences when a
+    merge since its round consumed one of its units, and pushed back if
+    its bound was high.  Pairs that occur once stay out of the heap until
+    no pair occurs twice.
     """
-    boundaries = np.flatnonzero(np.diff(ids) != 0)
-    run_ends = np.append(boundaries, len(ids) - 1)
-    run_values = ids[run_ends]
-    run_lengths = np.diff(np.append(-1, run_ends))
+    n = len(seq)
+    # position n is a sentinel unit -1 that ends the list on both sides
+    sym = np.full(n + 1, -1, dtype=np.int32)
+    sym[:n] = seq
+    nxt = np.arange(1, n + 2)
+    nxt[n] = n
+    prv = np.arange(-1, n)
+    prv[0] = n
+    units: list[tuple[int, ...]] = [(i,) for i in range(alphabet_size)]
+    heap: list[tuple] = []
+    live = n
+    min_count = 2
+    # last round at which a pair (u, .), resp. (., u), merged: only those
+    # merges remove occurrences of the pairs (., u), resp. (u, .)
+    lost_right = [-1] * target_size
+    lost_left = [-1] * target_size
 
-    diag_counts = np.bincount(run_values, weights=run_lengths // 2, minlength=big)
-    diag_values = np.flatnonzero(diag_counts)
-    diag_codes = diag_values * big + diag_values
+    def entry(x: int, y: int, count: int, pos, exact_at: int) -> tuple:
+        """Heap entry of the pair (x, y) whose occurrences as of round
+        exact_at are `pos`, or those of `cand` whose `others` equal v when
+        `pos` is (cand, others, v); `count` bounds the pair's count."""
+        # the smallest entry merges next; should two distinct units share a
+        # string, pairs of two different units go first, then unit ids
+        return (-count, units[x], units[y], x == y, x, y, exact_at, pos)
 
-    cross_codes, cross_counts = (
-        np.unique(run_values[:-1] * big + run_values[1:], return_counts=True)
-        if run_values.size > 1
-        else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    )
-    codes = np.concatenate([cross_codes, diag_codes])
-    counts = np.concatenate([cross_counts, diag_counts[diag_values]]).astype(np.int64)
-    return codes, counts
+    def push(x: int, y: int, count: int, pos, exact_at: int) -> None:
+        if count >= min_count:
+            heapq.heappush(heap, entry(x, y, count, pos, exact_at))
+
+    def push_sequence(left: np.ndarray, right: np.ndarray, starts=None) -> None:
+        """Entries for all pairs of the sequence: units `left` at `starts`
+        (the indices of `left` when None) followed by units `right`."""
+        big = len(units)
+        wide = left.astype(np.int64) if big * big > 2**31 else left
+        for code, idx in _groups(wide * big + right, big * big, min_count):
+            x, y = divmod(code, big)
+            push(x, y, idx.size, idx if starts is None else starts[idx], big)
+
+    def push_new(pos: np.ndarray, others: np.ndarray, bound: int, pair_of) -> None:
+        """Entries for the pairs pair_of(v) of a new unit with the units
+        `others` (v below `bound`) at the positions `pos`."""
+        counts = np.bincount(others, minlength=bound)
+        for v in np.flatnonzero(counts[:bound] >= min_count).tolist():
+            push(*pair_of(v), int(counts[v]), (pos, others, v), len(units))
+
+    push_sequence(sym[: n - 1], sym[1:n])
+    while len(units) < target_size and live >= 2:
+        if not heap:  # every pair left occurs at most once
+            min_count = 1
+            starts = np.flatnonzero(sym[:n] >= 0)[:-1]
+            push_sequence(sym[starts], sym[nxt[starts]], starts)
+        neg, _, _, _, x, y, exact_at, pos = heapq.heappop(heap)
+        if isinstance(pos, tuple):  # positions shared with the new unit's other pairs
+            cand, others, v = pos
+            pos = cand[others == v]
+        if max(lost_right[y], lost_left[x]) >= exact_at:
+            ok = sym[pos] == x
+            ok &= sym[nxt[pos]] == y
+            pos = pos[ok]
+        merge = pos if x != y else _self_pair_merges(pos, nxt)
+        if len(merge) < -neg:  # recounted lower; merge now if it still leads
+            if len(merge) < min_count:
+                continue
+            again = entry(x, y, len(merge), pos, len(units))
+            if heap and heap[0] < again:
+                heapq.heappush(heap, again)
+                continue
+
+        z = len(units)
+        units.append(units[x] + units[y])
+        lost_right[x] = lost_left[y] = z
+        right = nxt[merge]
+        after = nxt[right]
+        sym[merge] = z
+        sym[right] = -1
+        nxt[merge] = after
+        prv[after] = merge
+        live -= len(merge)
+        if len(units) == target_size:
+            break
+
+        # the new unit's pairs: (z, v) at the merged positions, (v, z) one
+        # unit before them (v = z is the pair (z, z) again); only the last
+        # merged unit can end the sequence and only the first start it
+        end = len(merge) - int(after[-1] == n)
+        push_new(merge[:end], sym[after[:end]], z + 1, lambda v: (z, v))
+        before = prv[merge]
+        start = int(before[0] == n)
+        push_new(before[start:], sym[before[start:]], z, lambda v: (v, z))
+    return units
 
 
 def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> PrefixVocabulary:
@@ -224,12 +345,13 @@ def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> Pre
     until the unit inventory (single symbols plus merged strings) reaches
     target_size, then close under prefixes.
 
-    Conventions, since textbook byte-pair merging leaves them open:
-    frequencies are non-overlapping occurrence counts recomputed from the
-    current unit sequence each round (no cached partial counts); ties
+    Conventions, since textbook byte-pair merging leaves them open: a
+    pair's frequency is its number of non-overlapping occurrences in the
+    current unit sequence (floor(m/2) in a run of m equal units); ties
     break on the lexicographically smallest (left, right) pair of unit
     strings in symbol-index order; prefix-closure strings added at the
-    end do not count against target_size.
+    end do not count against target_size.  `bpe_units` gives the merge
+    order.
     """
     if alphabet is None:
         if isinstance(corpus, str):
@@ -241,30 +363,7 @@ def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> Pre
     seq = alphabet.encode(corpus)
     if len(seq) < 2:
         raise DataError("corpus must contain at least 2 symbols")
-
-    unit_str: list[tuple[int, ...]] = [(i,) for i in range(alphabet.size)]
-    ids = seq.astype(np.int64)
-
-    while len(unit_str) < target_size and len(ids) >= 2:
-        big = len(unit_str)
-        codes, counts = _pair_counts(ids, big)
-        best = int(counts.max())
-        cands = codes[counts == best]
-        pick = min(cands.tolist(), key=lambda c: (unit_str[c // big], unit_str[c % big]))
-        left, right = divmod(int(pick), big)
-
-        new_id = len(unit_str)
-        unit_str.append(unit_str[left] + unit_str[right])
-        match = (ids[:-1] == left) & (ids[1:] == right)
-        pos = np.flatnonzero(match)
-        if left == right:
-            pos = _thin_overlaps(pos)
-        ids[pos] = new_id
-        keep = np.ones(len(ids), dtype=bool)
-        keep[pos + 1] = False
-        ids = ids[keep]
-
-    return PrefixVocabulary(alphabet, unit_str)
+    return PrefixVocabulary(alphabet, bpe_units(seq, target_size, alphabet.size))
 
 
 def train_lzw(corpus, budget: int, alphabet: Alphabet | None = None) -> PrefixVocabulary:

@@ -217,3 +217,75 @@ def oracle_token_losses(q_row, entry_set: set[tuple], alphabet_size: int,
         stop = 1.0 - sum(q_row(run[-ws:] if ws else ())[a] for a in ext[target])
         losses.append(-math.log2(p * stop / denom))
     return losses
+
+
+def _thin_overlaps(pos: np.ndarray) -> np.ndarray:
+    """Keep alternating positions inside each run of adjacent matches."""
+    if pos.size == 0:
+        return pos
+    starts = np.empty(pos.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = np.diff(pos) > 1
+    run_start = pos[starts][np.cumsum(starts) - 1]
+    return pos[((pos - run_start) % 2) == 0]
+
+
+def _pair_counts(ids: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping adjacent-pair counts via run-length encoding.
+
+    A run of m equal units contributes floor(m/2) mergeable (v, v) pairs;
+    pairs across run boundaries are automatically non-overlapping.
+    Returns (codes, counts) for pairs with a positive count.
+    """
+    boundaries = np.flatnonzero(np.diff(ids) != 0)
+    run_ends = np.append(boundaries, len(ids) - 1)
+    run_values = ids[run_ends]
+    run_lengths = np.diff(np.append(-1, run_ends))
+
+    diag_counts = np.bincount(run_values, weights=run_lengths // 2, minlength=big)
+    diag_values = np.flatnonzero(diag_counts)
+    diag_codes = diag_values * big + diag_values
+
+    cross_codes, cross_counts = (
+        np.unique(run_values[:-1] * big + run_values[1:], return_counts=True)
+        if run_values.size > 1
+        else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    )
+    codes = np.concatenate([cross_codes, diag_codes])
+    counts = np.concatenate([cross_counts, diag_counts[diag_values]]).astype(np.int64)
+    return codes, counts
+
+
+def oracle_bpe_units(seq, target_size: int, alphabet_size: int) -> list[tuple]:
+    """BPE unit inventory in merge order, recounting every pair of the
+    whole unit sequence after every merge.
+
+    The single symbols come first, then one merged unit per round: the
+    pair with the most non-overlapping occurrences (floor(m/2) per run of
+    m equal units), ties broken on the smallest (left, right) pair of unit
+    strings and then on the first of the candidate codes (pairs of two
+    different units by ids, then pairs of equal units).
+    """
+    unit_str: list[tuple[int, ...]] = [(i,) for i in range(alphabet_size)]
+    ids = np.array(seq, dtype=np.int64)
+
+    while len(unit_str) < target_size and len(ids) >= 2:
+        big = len(unit_str)
+        codes, counts = _pair_counts(ids, big)
+        best = int(counts.max())
+        cands = codes[counts == best]
+        pick = min(cands.tolist(), key=lambda c: (unit_str[c // big], unit_str[c % big]))
+        left, right = divmod(int(pick), big)
+
+        new_id = len(unit_str)
+        unit_str.append(unit_str[left] + unit_str[right])
+        match = (ids[:-1] == left) & (ids[1:] == right)
+        pos = np.flatnonzero(match)
+        if left == right:
+            pos = _thin_overlaps(pos)
+        ids[pos] = new_id
+        keep = np.ones(len(ids), dtype=bool)
+        keep[pos + 1] = False
+        ids = ids[keep]
+
+    return unit_str

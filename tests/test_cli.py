@@ -287,6 +287,41 @@ class TestBadInput:
             "--output-dir", str(tmp_path)])
         assert_config_error(result, "'probs'")
 
+    @pytest.mark.parametrize("kernel, named", [
+        ({"alphabet": ["0", "1"], "order": "x", "probs": [0.5] * 4}, "'order'"),
+        ({"alphabet": ["0", "1"], "order": 1.5, "probs": [0.5] * 4}, "'order'"),
+        ({"alphabet": ["0", "1"], "order": 1, "probs": ["x"] * 4}, "'probs'"),
+        ({"alphabet": ["0", "1"], "order": 1, "probs": [[0.5, 0.5], [1.0]]}, "'probs'"),
+        ({"alphabet": 5, "order": 1, "probs": [0.5] * 4}, "'alphabet'"),
+    ])
+    def test_kernel_file_wrong_type(self, runner, tmp_path, kernel, named):
+        kpath = tmp_path / "kernel.json"
+        kpath.write_text(json.dumps(kernel))
+        result = runner.invoke(main, [
+            "heavy-hitting", "--kernel", str(kpath), "--n", "1000", "--budgets", "4",
+            "--output-dir", str(tmp_path)])
+        assert_config_error(result, named)
+
+    @pytest.mark.parametrize("vocab, named", [
+        ({"alphabet": ["0", "1"], "entries": 5}, "'entries'"),
+        ({"alphabet": ["0", "1"], "entries": ["01", 7]}, "'entries'"),
+        ({"alphabet": [0, 1], "entries": ["01"]}, "'alphabet'"),
+    ])
+    def test_vocab_file_wrong_type(self, runner, tmp_path, vocab, named):
+        vpath = tmp_path / "vocab.json"
+        vpath.write_text(json.dumps(vocab))
+        result = runner.invoke(main, [
+            "span-cdf", "--order", "1", "--n", "2000", "--vocab", str(vpath),
+            "--output-dir", str(tmp_path)])
+        assert_config_error(result, named)
+
+    def test_text_file_not_utf8(self, runner, tmp_path):
+        tpath = tmp_path / "corpus.txt"
+        tpath.write_bytes(b"\xff\xfe\xfdab")
+        result = runner.invoke(main, ["span-cdf", "--text", str(tpath),
+                                      "--output-dir", str(tmp_path)])
+        assert_config_error(result, "corpus.txt")
+
     def test_library_key_error_is_not_a_configuration_error(self, runner, tmp_path,
                                                             monkeypatch):
         def broken(config):

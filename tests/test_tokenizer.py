@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
-from oracles import oracle_greedy_parse
+from oracles import oracle_bpe_units, oracle_greedy_parse
+from recoding.demo_text import synthesize_corpus
 from recoding.rng import generator
+from recoding.tokenizer import bpe_units
 
 
 def entry_labels(vocab):
@@ -51,6 +53,15 @@ class TestBuildVocab:
                     assert e[:j] in entries
             for i in range(vocab.alphabet.size):
                 assert (i,) in entries
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8), max_size=8))
+    def test_entries_are_every_prefix(self, words):
+        alphabet = r.Alphabet.of_size(3)
+        vocab = r.build_vocab(alphabet, [np.array(w, dtype=np.int32) for w in words])
+        want = {(i,) for i in range(3)} | {tuple(w[:j]) for w in words
+                                           for j in range(1, len(w) + 1)}
+        assert vocab.entries == tuple(sorted(want))
 
     def test_json_roundtrip(self, tmp_path, fig_vocab):
         path = tmp_path / "vocab.json"
@@ -164,6 +175,61 @@ class TestTrainBpe:
         for e in entries:
             for j in range(1, len(e)):
                 assert e[:j] in entries
+
+
+class TestBpeUnitsMatchOracle:
+    """The incremental trainer against the recount-every-round oracle:
+    the same units in the same merge order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), min_size=1,
+                         max_size=30),
+           a=st.integers(1, 4), extra=st.integers(0, 60))
+    def test_runs(self, runs, a, extra):
+        seq = np.array([sym % a for sym, m in runs for _ in range(m)], dtype=np.int32)
+        if len(seq) >= 2:
+            assert bpe_units(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(period=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           reps=st.integers(1, 40), a=st.integers(1, 4), extra=st.integers(0, 60))
+    def test_periodic(self, period, reps, a, extra):
+        seq = np.array(period * reps, dtype=np.int32) % a
+        if len(seq) >= 2:
+            assert bpe_units(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 63, 64, 100, 1025])
+    def test_all_equal_until_one_unit(self, n):
+        seq = np.zeros(n, dtype=np.int32)
+        units = bpe_units(seq, 40, 1)
+        assert units == oracle_bpe_units(seq, 40, 1)
+        assert len(units) < 40  # stopped when one unit spans the corpus
+
+    @pytest.mark.parametrize("order, alpha, n, seed, sizes", [
+        (12, 0.4, 200_000, 1, (4, 8, 20)),
+        (12, 0.4, 200_000, 2, (4, 8, 20)),
+        (6, 0.5, 500_000, 1, (8,)),
+    ])
+    def test_markov_corpora(self, order, alpha, n, seed, sizes):
+        seq = r.sample_sequence(r.sample_kernel(2, order, alpha, seed), n, seed)
+        for v in sizes:
+            assert bpe_units(seq, v, 2) == oracle_bpe_units(seq, v, 2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_text_corpus(self, seed):
+        text = synthesize_corpus(60_000, seed)
+        alphabet = r.Alphabet.from_text(text)
+        seq = alphabet.encode(text)
+        units = oracle_bpe_units(seq, 1024, alphabet.size)
+        assert bpe_units(seq, 1024, alphabet.size) == units
+        assert r.train_bpe(text, 1024).entries == r.PrefixVocabulary(alphabet, units).entries
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_input_left_unwritten(self, binary, dtype):
+        seq = r.sample_sequence(r.sample_kernel(2, 2, 0.5, 3), 5000, 3).astype(dtype)
+        before = seq.copy()
+        r.train_bpe(seq, 24, binary)
+        assert np.array_equal(seq, before)
 
 
 class TestTrainLzw:
