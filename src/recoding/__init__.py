@@ -20,7 +20,6 @@ from .errors import (
     InjectivityError,
     ParameterError,
     PositivityError,
-    PreconditionError,
     RecodingError,
 )
 from .sources import (
@@ -54,14 +53,10 @@ from .ngram import (ContextPredictor, fit, in_sample_log_loss, log_loss, log_los
 from .tokenizer import (
     PrefixVocabulary,
     TokenSequence,
-    build_vocab,
     expand,
-    ext_set,
     greedy_parse,
-    read_token_stream,
     train_bpe,
     train_lzw,
-    write_token_stream,
 )
 from .spans import (
     HeavyHitReport,
@@ -70,20 +65,12 @@ from .spans import (
     heavy_hitting_report,
     p_max,
     slack_curve,
-    source_span,
     span_distribution,
-    typical_epsilon,
     worst_case_span,
 )
 from .transfer import (
     TokenLossBreakdown,
     TransferredPredictor,
     TypicalPredictor,
-    UniformTokenPredictor,
     loss_comparison,
-    make_typical,
-    seq_extend,
-    smooth,
-    token_loss_per_source_symbol,
-    transfer,
 )

@@ -47,7 +47,6 @@ from .errors import (
     FormatError,
     ParameterError,
     PositivityError,
-    PreconditionError,
 )
 from .fragmentation import decompose, empirical_fragmented_loss, make_map
 from .ngram import in_sample_log_loss, optimal_predictor
@@ -69,14 +68,13 @@ from .spans import (
     worst_case_span,
 )
 from .tokenizer import PrefixVocabulary, greedy_parse, train_bpe, train_lzw
-from .transfer import compare_losses, make_typical, smooth, transfer
+from .transfer import TransferredPredictor, TypicalPredictor, compare_losses
 
 _CONFIG_ERRORS = (
     ParameterError,
     FormatError,
     DataError,
     AlphabetError,
-    PreconditionError,
     PositivityError,
 )
 
@@ -396,6 +394,7 @@ def run_tok_train(config: ExperimentConfig) -> None:
     sizes = config.tokenizer["sizes"]
     prefix = config.tokenizer["train_prefix"]
     rows = []
+    vocabs = []  # written only once every (seed, size) succeeded
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
         seq = sample_sequence(kernel, src["n"], seed)
@@ -404,11 +403,13 @@ def run_tok_train(config: ExperimentConfig) -> None:
                 vocab = PrefixVocabulary(kernel.alphabet, [])
             else:
                 vocab = train_bpe(seq[:prefix], v, kernel.alphabet)
-            vocab.save(config.output_dir / f"vocab_seed{seed}_V{v}.json")
+            vocabs.append((config.output_dir / f"vocab_seed{seed}_V{v}.json", vocab))
             stream = greedy_parse(vocab, seq)
             ratio = len(seq) / len(stream.ids)
             rows.append([seed, v, vocab.size, len(stream.ids), ratio])
             click.echo(f"seed {seed} V={v}: {vocab.size} entries, ratio {ratio:.3f}")
+    for path, vocab in vocabs:
+        vocab.save(path)
     write_csv(config.output_dir / "ratios.csv",
               ["seed", "V", "entries", "tokens", "ratio"], rows, config)
 
@@ -486,6 +487,7 @@ def run_span_cdf(config: ExperimentConfig) -> None:
         jobs.append((Path(path).stem, vocab))
 
     rows = []
+    reports = []  # written only once every (vocabulary, window) pair succeeded
     for name, vocab in jobs:
         stream = greedy_parse(vocab, seq)
         for w in config.windows:
@@ -494,9 +496,11 @@ def run_span_cdf(config: ExperimentConfig) -> None:
             sweep = _ws_sweep(w, mult, spans[0], spans[-1])
             curve = slack_curve(vocab, stream, w, sweep)
             report.slack_curve = curve
-            report.save(config.output_dir / f"spans_{label}_{name}_w{w}.json")
+            reports.append((config.output_dir / f"spans_{label}_{name}_w{w}.json", report))
             for ws, eps, slack in curve:
                 rows.append([label, name, w, ws, eps, report.rate, slack])
+    for path, report in reports:
+        report.save(path)
     write_csv(config.output_dir / "slack.csv",
               ["corpus", "tokenizer", "w", "w_s", "epsilon", "rate", "slack_bits"],
               rows, config)
@@ -540,6 +544,7 @@ def run_transfer_check(config: ExperimentConfig) -> None:
     src = config.source
     eta = config.params["eta"]
     rows = []
+    reports = []  # written only once every (seed, tokenizer, window) succeeded
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
         seq = sample_sequence(kernel, src["n"], seed)
@@ -553,12 +558,12 @@ def run_transfer_check(config: ExperimentConfig) -> None:
                 ws = config.params["ws"]
                 if ws is None:
                     ws = worst_case_span(vocab, w, "empirical", stream)
-                q = smooth(optimal_predictor(kernel, ws), eta)
+                q = optimal_predictor(kernel, ws).smoothed(eta)
                 target = conditional_entropy(kernel, ws)
                 # gated at ws = q.w, the typical predictor's losses are the
                 # transferred predictor's, so one evaluation serves both
-                tp = transfer(q, vocab, w)
-                bd = make_typical(tp, ws).token_log_losses(stream)
+                tp = TransferredPredictor(q, vocab, w)
+                bd = TypicalPredictor(tp, ws).token_log_losses(stream)
                 report = compare_losses(tp, seq, bd)
                 report.update({
                     "seed": seed, "tokenizer": name, "w": w, "ws": ws,
@@ -574,7 +579,7 @@ def run_transfer_check(config: ExperimentConfig) -> None:
                     "bound_bits": target + slack,
                     "se_bits": bd.per_source_symbol_se(),
                 }
-                _write_json(config.output_dir / f"transfer_{name}_w{w}_seed{seed}.json", report)
+                reports.append((config.output_dir / f"transfer_{name}_w{w}_seed{seed}.json", report))
                 rows.append([
                     seed, name, w, ws, rate,
                     report["per_symbol_losses"]["source"],
@@ -587,6 +592,8 @@ def run_transfer_check(config: ExperimentConfig) -> None:
               "source_per_symbol_bits", "token_per_symbol_bits",
               "cumulative_difference_bits", "telescope_bound_bits",
               "epsilon", "typical_per_symbol_bits", "typical_bound_bits"]
+    for path, report in reports:
+        _write_json(path, report)
     write_csv(config.output_dir / "transfer.csv", header, rows, config)
     click.echo(f"wrote {len(rows)} transfer rows")
 
@@ -620,6 +627,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
     kernel_file = config.params["kernel"]
     w = config.windows[0]
     rows = []
+    payloads = []  # written only once every (seed, budget) succeeded
     for seed in config.seeds:
         if kernel_file is not None:
             kernel = TransitionKernel.load(kernel_file)
@@ -641,8 +649,8 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
             if w_d >= 1 and eta_hat < 1.0:
                 try:
                     target = conditional_entropy(kernel, w_d)
-                    q = smooth(optimal_predictor(kernel, w_d), config.params["eta_transfer"])
-                    typ = make_typical(transfer(q, vocab, w), w_d)
+                    q = optimal_predictor(kernel, w_d).smoothed(config.params["eta_transfer"])
+                    typ = TypicalPredictor(TransferredPredictor(q, vocab, w), w_d)
                     bd = typ.token_log_losses(stream)
                     bound = target + 4 * eta_hat * math.log2(d) / (
                         (1 - eta_hat) * report.ell_d + eta_hat)
@@ -656,7 +664,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
                     click.echo(f"seed {seed} d={d}: no end-to-end bound at w_d={w_d}: {exc}",
                                err=True)
                     payload["end_to_end"] = None
-            _write_json(config.output_dir / f"heavy_seed{seed}_d{d}.json", payload)
+            payloads.append((config.output_dir / f"heavy_seed{seed}_d{d}.json", payload))
             rows.append([
                 seed, d, report.delta, report.ell_d, report.miss_prob,
                 report.short_token_prob, report.window_fail_prob, report.alpha,
@@ -666,6 +674,8 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
     header = ["seed", "d", "delta", "ell_d", "miss_prob", "short_token_prob",
               "window_fail_prob", "alpha", "length_inclusion", "window_bound_ok",
               "alpha_bound_ok"]
+    for path, payload in payloads:
+        _write_json(path, payload)
     write_csv(config.output_dir / "heavy_hitting.csv", header, rows, config)
     click.echo(f"wrote {len(rows)} heavy-hitting rows")
 

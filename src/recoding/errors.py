@@ -40,7 +40,3 @@ class AssumptionViolationError(RecodingError):
 
 class PositivityError(RecodingError, ValueError):
     """A predictor required to be strictly positive has a zero entry."""
-
-
-class PreconditionError(RecodingError, ValueError):
-    """A call-site precondition (e.g. minimum history length) is not met."""

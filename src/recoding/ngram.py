@@ -1,20 +1,21 @@
-"""Count-based finite-context predictors with Laplace smoothing.
+"""Finite-context conditional tables and the log-losses read from them.
 
-Fitted predictors keep a sparse context table (hash map keyed by the
-base-A context code) with a uniform fallback for unseen contexts; exact
-predictors derived from a kernel use a dense table.  Context codes follow
-the same convention as `sources`: oldest symbol most significant.
+A `ContextPredictor` stores q(y|c) as one (rows, A) float matrix.  With
+no `codes` the matrix is dense: row c is the context whose base-A code
+is c.  Otherwise `codes` is a sorted int64 array naming each row's
+context, and a context without a row gets the uniform distribution.
+Exact predictors derived from a kernel are dense; fitted ones keep a row
+for each context seen in training.  Context codes follow the same
+convention as `sources`: oldest symbol most significant.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, DataError, FormatError, ParameterError
+from .errors import CapacityError, DataError, ParameterError
 from .sources import Alphabet, TransitionKernel, window_law, DEFAULT_TABLE_BUDGET
 
 _CODE_LIMIT = 1 << 62
@@ -43,126 +44,50 @@ def window_codes(seq: np.ndarray, w: int, alphabet_size: int) -> np.ndarray:
 
 
 class ContextPredictor:
-    """Conditional model q(y|c) for contexts of a fixed length w."""
+    """Conditional model q(y|c) for contexts of a fixed length w: the rows
+    of `table`, dense over all A**w contexts when `codes` is None, else
+    one row per context in the sorted int64 array `codes`."""
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        w: int,
-        *,
-        alpha: float | None = None,
-        counts: dict[int, np.ndarray] | None = None,
-        rows: dict[int, np.ndarray] | None = None,
-        dense: np.ndarray | None = None,
-    ):
+    def __init__(self, alphabet: Alphabet, w: int, table: np.ndarray,
+                 codes: np.ndarray | None = None):
         if w < 0:
             raise ParameterError("context length must be >= 0")
         self.alphabet = alphabet
         self.w = w
-        self.alpha = alpha
-        self._counts = counts
-        self._dense = dense
-        a = alphabet.size
-        self._uniform = np.full(a, 1.0 / a)
-        if dense is not None:
-            self._rows = None
-        elif rows is not None:
-            self._rows = rows
-        else:
-            self._rows = {}
-            if counts:
-                aa = 0.0 if alpha is None else alpha
-                for code, cnt in counts.items():
-                    tot = cnt.sum()
-                    if aa > 0:
-                        self._rows[code] = (cnt + aa) / (tot + aa * a)
-                    elif tot > 0:
-                        self._rows[code] = cnt / tot
-                    else:
-                        self._rows[code] = self._uniform.copy()
-
-    @property
-    def context_space(self) -> int:
-        return self.alphabet.size**self.w
+        self.table = table
+        self.codes = codes
 
     def row(self, code: int) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[code]
-        return self._rows.get(int(code), self._uniform)
+        return self.rows_for(np.array([code]))[0]
 
     def rows_for(self, codes: np.ndarray) -> np.ndarray:
         """Probability rows for an array of context codes, shape (len, A)."""
         codes = np.asarray(codes, dtype=np.int64)
-        if self._dense is not None:
-            return self._dense[codes]
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        mat = np.empty((uniq.size, self.alphabet.size))
-        for i, code in enumerate(uniq.tolist()):
-            mat[i] = self._rows.get(code, self._uniform)
-        return mat[inverse]
+        if self.codes is None:
+            return self.table[codes]
+        at = np.searchsorted(self.codes, codes)
+        hit = at < self.codes.size
+        hit[hit] = self.codes[at[hit]] == codes[hit]
+        out = np.full((codes.size, self.alphabet.size), 1.0 / self.alphabet.size)
+        out[hit] = self.table[at[hit]]
+        return out
 
     def positivity_floor(self) -> float:
         """Smallest probability the predictor can ever emit."""
-        a = self.alphabet.size
-        if self._dense is not None:
-            return float(self._dense.min())
-        floor = math.inf
-        for r in self._rows.values():
-            floor = min(floor, float(r.min()))
-        if len(self._rows) < self.context_space:
-            floor = min(floor, 1.0 / a)
-        return 0.0 if floor is math.inf else floor
+        if self.codes is None:
+            return float(self.table.min())
+        floor = float(self.table.min(initial=math.inf))
+        if self.codes.size < self.alphabet.size**self.w:
+            floor = min(floor, 1.0 / self.alphabet.size)
+        return floor
 
     def smoothed(self, eta: float) -> "ContextPredictor":
+        """Every row mixed with the uniform distribution:
+        q_eta(y|c) = (1-eta) q(y|c) + eta/|Y|."""
         if not 0 < eta < 1:
             raise ParameterError("eta must lie in (0, 1)")
-        a = self.alphabet.size
-        if self._dense is not None:
-            dense = (1.0 - eta) * self._dense + eta / a
-            return ContextPredictor(self.alphabet, self.w, dense=dense)
-        rows = {c: (1.0 - eta) * r + eta / a for c, r in self._rows.items()}
-        return ContextPredictor(self.alphabet, self.w, rows=rows)
-
-    def to_json(self) -> dict:
-        if self._counts is None:
-            raise FormatError("only count-based predictors can be serialized")
-        symbols = self.alphabet.symbols
-        a = self.alphabet.size
-        entries = []
-        for code in sorted(self._counts):
-            digits = []
-            c = code
-            for _ in range(self.w):
-                digits.append(symbols[c % a])
-                c //= a
-            digits.reverse()
-            entries.append([digits, [int(x) for x in self._counts[code]]])
-        return {
-            "alphabet": list(symbols),
-            "w": self.w,
-            "alpha": self.alpha,
-            "counts": entries,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ContextPredictor":
-        alphabet = Alphabet(tuple(obj["alphabet"]))
-        w = int(obj["w"])
-        a = alphabet.size
-        counts = {}
-        for labels, cnt in obj["counts"]:
-            code = 0
-            for lab in labels:
-                code = code * a + alphabet.index(lab)
-            counts[code] = np.asarray(cnt, dtype=np.int64)
-        return cls(alphabet, w, alpha=obj["alpha"], counts=counts)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "ContextPredictor":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        table = (1.0 - eta) * self.table + eta / self.alphabet.size
+        return ContextPredictor(self.alphabet, self.w, table, self.codes)
 
 
 def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None):
@@ -189,18 +114,15 @@ def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | No
 
 
 def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None) -> ContextPredictor:
-    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass."""
+    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass,
+    with a row for each context the sequence holds."""
     alphabet, _, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
     a = alphabet.size
-    ctx_codes = codes // a
-    syms = codes % a
-    counts: dict[int, np.ndarray] = {}
-    bounds = np.flatnonzero(np.diff(ctx_codes, prepend=-1))
-    for b, e in zip(bounds, np.append(bounds[1:], codes.size)):
-        vec = np.zeros(a, dtype=np.int64)
-        vec[syms[b:e]] = cnt[b:e]
-        counts[int(ctx_codes[b])] = vec
-    return ContextPredictor(alphabet, w, alpha=laplace_alpha, counts=counts)
+    contexts, row = np.unique(codes // a, return_inverse=True)
+    table = np.zeros((contexts.size, a))
+    table[row, codes % a] = cnt
+    table = (table + laplace_alpha) / (table.sum(axis=1, keepdims=True) + laplace_alpha * a)
+    return ContextPredictor(alphabet, w, table, contexts)
 
 
 def in_sample_log_loss(sequence, w: int, laplace_alpha: float,
@@ -256,4 +178,4 @@ def optimal_predictor(
     totals = table.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
     dense = np.where(totals > 0, table / safe, 1.0 / a)
-    return ContextPredictor(kernel.alphabet, w, dense=dense)
+    return ContextPredictor(kernel.alphabet, w, dense)

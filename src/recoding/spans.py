@@ -4,6 +4,9 @@ The source span of a token window is the number of source symbols its
 expansion covers.  Sliding-window statistics drop the first w tokens of a
 stream so the forced start-of-parse boundary does not contaminate the
 stationary picture; `worst_case_span` documents the same convention.
+The fraction of w-token windows spanning fewer than w_s symbols,
+epsilon(w, w_s), is `SpanReport.epsilon(w_s)` and a column of
+`slack_curve`.
 """
 
 from __future__ import annotations
@@ -16,30 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AssumptionViolationError, DataError, ParameterError
-from .sources import Alphabet, TransitionKernel, min_transition_prob
+from .sources import TransitionKernel, min_transition_prob
 from .tokenizer import PrefixVocabulary, TokenSequence
 
 
-def source_span(vocab: PrefixVocabulary, window) -> int:
-    """Summed source length of the tokens in a window."""
-    if isinstance(window, TokenSequence):
-        ids = window.ids
-    else:
-        ids = np.asarray(window, dtype=np.int64)
-    if ids.size == 0:
-        return 0
-    return int(vocab.lengths[ids].sum())
-
-
-def _window_spans(stream: TokenSequence, w: int, drop_first: bool = True) -> np.ndarray:
-    """Spans of all length-w sliding windows, boundary windows dropped."""
+def _window_spans(stream: TokenSequence, w: int) -> np.ndarray:
+    """Spans of all length-w sliding windows, the first w tokens dropped."""
     if w < 1:
         raise ParameterError("window length must be >= 1")
     ids = stream.ids
-    start = w if drop_first else 0
-    if len(ids) - start < w:
+    if len(ids) - w < w:
         raise DataError(f"stream too short for {w}-token windows")
-    lens = stream.vocab.lengths[ids[start:]]
+    lens = stream.vocab.lengths[ids[w:]]
     cs = np.concatenate([[0], np.cumsum(lens)])
     return cs[w:] - cs[:-w]
 
@@ -132,12 +123,6 @@ def worst_case_span(
             raise ParameterError("empirical mode requires a parsed stream")
         return int(_window_spans(stream, w).min())
     raise ParameterError(f"unknown mode {mode!r}")
-
-
-def typical_epsilon(vocab: PrefixVocabulary, stream: TokenSequence, w: int, w_s: int) -> float:
-    """Fraction of w-token windows spanning fewer than w_s source symbols."""
-    spans = _window_spans(stream, w)
-    return float(np.mean(spans < w_s))
 
 
 def slack_curve(

@@ -39,7 +39,6 @@ class PrefixVocabulary:
                 f"closed vocabulary has {len(closed)} entries, budget is {budget}"
             )
         self.alphabet = alphabet
-        self.budget = budget
         self.entries: tuple[tuple[int, ...], ...] = tuple(sorted(closed))
         self._id_of = {e: i for i, e in enumerate(self.entries)}
 
@@ -126,15 +125,6 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def source_length(self) -> int:
-        return int(self.vocab.lengths[self.ids].sum())
-
-
-def build_vocab(alphabet: Alphabet, strings, budget: int | None = None) -> PrefixVocabulary:
-    """Entries = the given strings, all their prefixes, all single symbols."""
-    return PrefixVocabulary(alphabet, strings, budget=budget)
-
 
 def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
     """Left-to-right longest match; expanding the result recovers the input."""
@@ -178,18 +168,6 @@ def expand(vocab: PrefixVocabulary, tokens) -> np.ndarray:
     parts = [vocab.entries[i] for i in ids.tolist()]
     flat = [s for p in parts for s in p]
     return np.asarray(flat, dtype=np.int32)
-
-
-def ext_set(vocab: PrefixVocabulary, token) -> frozenset[str]:
-    """Symbols by which a token can grow while staying in the vocabulary."""
-    if isinstance(token, (int, np.integer)):
-        eid = int(token)
-        if not 0 <= eid < vocab.size:
-            raise FormatError("unknown token id")
-    else:
-        eid = vocab.id_of(token)
-    syms = vocab.alphabet.symbols
-    return frozenset(syms[a] for a in np.flatnonzero(vocab.ext_mask[eid]))
 
 
 def _self_pair_merges(pos: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -404,44 +382,3 @@ def train_lzw(corpus, budget: int, alphabet: Alphabet | None = None) -> PrefixVo
         pos = j  # single symbols always match, so j > pos
     return PrefixVocabulary(alphabet, entries, budget=budget)
 
-
-def write_token_stream(path, stream: TokenSequence) -> None:
-    """Varint-encoded ids plus a JSON sidecar carrying the vocabulary."""
-    buf = bytearray()
-    for v in stream.ids.tolist():
-        while True:
-            b = v & 0x7F
-            v >>= 7
-            if v:
-                buf.append(b | 0x80)
-            else:
-                buf.append(b)
-                break
-    Path(path).write_bytes(bytes(buf))
-    sidecar = {"vocabulary": stream.vocab.to_json(), "count": int(len(stream.ids))}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def read_token_stream(path) -> TokenSequence:
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    vocab = PrefixVocabulary.from_json(sidecar["vocabulary"])
-    raw = Path(path).read_bytes()
-    ids = []
-    v = 0
-    shift = 0
-    for b in raw:
-        v |= (b & 0x7F) << shift
-        if b & 0x80:
-            shift += 7
-        else:
-            ids.append(v)
-            v = 0
-            shift = 0
-    if shift:
-        raise FormatError("truncated varint stream")
-    if len(ids) != sidecar["count"]:
-        raise FormatError("token count does not match sidecar")
-    arr = np.asarray(ids, dtype=np.int32)
-    if arr.size and arr.max() >= vocab.size:
-        raise FormatError("token id outside the vocabulary")
-    return TokenSequence(vocab, arr)

@@ -11,9 +11,10 @@ loss up to a constant bounded via the positivity floor of q.
 
 Evaluation needs only the last w_s source symbols of the expanded token
 window.  Windows that span fewer than w_s symbols cannot be evaluated;
-they fall back to the uniform distribution over tokens, and the
-span-gated variant (`make_typical`) applies the same fallback at a
-configurable threshold.
+they fall back to the uniform distribution over tokens.  The span-gated
+`TypicalPredictor` applies the same fallback below any threshold at or
+above w_s; gated above every span it is the uniform token predictor,
+whose loss per source symbol is the uniform-code rate.
 """
 
 from __future__ import annotations
@@ -23,34 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, PositivityError, PreconditionError
+from .errors import DataError, ParameterError, PositivityError
 from .ngram import ContextPredictor, log_loss_total, window_codes
 from .tokenizer import PrefixVocabulary, TokenSequence, expand, greedy_parse
-
-
-def smooth(predictor: ContextPredictor, eta: float) -> ContextPredictor:
-    """Mix every row with the uniform distribution:
-    q_eta(y|c) = (1-eta) q(y|c) + eta/|Y|."""
-    return predictor.smoothed(eta)
-
-
-def seq_extend(q: ContextPredictor, history, u) -> float:
-    """Probability q assigns to the string u following `history`, reading
-    each symbol against the rolling last-w_s-symbol context."""
-    h = q.alphabet.encode(history)
-    uu = q.alphabet.encode(u)
-    if len(h) < q.w:
-        raise PreconditionError(f"history must contain at least {q.w} symbols")
-    a = q.alphabet.size
-    base = a**q.w if q.w > 0 else 1
-    code = 0
-    for sym in h[len(h) - q.w :].tolist():
-        code = code * a + sym
-    p = 1.0
-    for sym in uu.tolist():
-        p *= float(q.row(code)[sym])
-        code = (code * a + sym) % base
-    return p
 
 
 @dataclass
@@ -89,13 +65,7 @@ class TransferredPredictor:
     """Token-level predictor induced by a source predictor on a prefix
     vocabulary, evaluated over w-token contexts."""
 
-    def __init__(
-        self,
-        q: ContextPredictor,
-        vocab: PrefixVocabulary,
-        w: int,
-        uniform_fallback: bool = True,
-    ):
+    def __init__(self, q: ContextPredictor, vocab: PrefixVocabulary, w: int):
         if w < 1:
             raise ParameterError("token window length must be >= 1")
         if q.alphabet.size != vocab.alphabet.size:
@@ -109,7 +79,6 @@ class TransferredPredictor:
         self.vocab = vocab
         self.w = w
         self.lambda_q = floor
-        self.uniform_fallback = uniform_fallback
 
     def token_log_losses(self, stream: TokenSequence, gate: int | None = None) -> TokenLossBreakdown:
         if gate is None:
@@ -155,12 +124,6 @@ class TransferredPredictor:
         return out
 
 
-def transfer(q: ContextPredictor, vocab: PrefixVocabulary, w: int) -> TransferredPredictor:
-    """Build the token predictor induced by q (strictly positive, context
-    length w_s) for w-token windows."""
-    return TransferredPredictor(q, vocab, w)
-
-
 class TypicalPredictor:
     """Span-gated wrapper: transferred prediction on windows spanning at
     least w_s source symbols, uniform over the vocabulary otherwise."""
@@ -172,44 +135,9 @@ class TypicalPredictor:
             )
         self.transferred = transferred
         self.span_threshold = span_threshold
-        self.vocab = transferred.vocab
-        self.w = transferred.w
 
     def token_log_losses(self, stream: TokenSequence) -> TokenLossBreakdown:
         return _evaluate(self.transferred, stream, self.span_threshold)
-
-
-def make_typical(transferred: TransferredPredictor, w_s: int | None = None) -> TypicalPredictor:
-    if w_s is None:
-        w_s = transferred.q.w
-    return TypicalPredictor(transferred, w_s)
-
-
-class UniformTokenPredictor:
-    """Assigns 1/|Z| to every next token; the per-source-symbol loss is
-    exactly the uniform-code rate in bits."""
-
-    def __init__(self, vocab: PrefixVocabulary, w: int):
-        self.vocab = vocab
-        self.w = w
-
-    def token_log_losses(self, stream: TokenSequence) -> TokenLossBreakdown:
-        ids = stream.ids
-        m = len(ids)
-        if m - 1 <= self.w:
-            raise DataError("token stream too short to evaluate")
-        count = m - 1 - self.w
-        loss = math.log2(self.vocab.size)
-        lens = self.vocab.lengths[ids]
-        return TokenLossBreakdown(
-            losses=np.full(count, loss),
-            valid=np.ones(count, dtype=bool),
-            stops=np.full(count, np.nan),
-            alpha=float(lens.mean()),
-            source_length=int(lens.sum()),
-            token_count=m,
-            vocab_size=self.vocab.size,
-        )
 
 
 def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> TokenLossBreakdown:
@@ -266,10 +194,6 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
             raise PositivityError("stop probability vanished on an interior token")
         losses[valid] = -(seqlog + np.log2(stop) - np.log2(den))
         stops[valid] = stop
-    elif not tp.uniform_fallback:
-        raise PreconditionError("no window reaches the required source span")
-    if not tp.uniform_fallback and not np.all(valid):
-        raise PreconditionError("a window spans fewer source symbols than required")
 
     return TokenLossBreakdown(
         losses=losses,
@@ -282,21 +206,13 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     )
 
 
-def token_loss_per_source_symbol(predictor, vocab: PrefixVocabulary, stream: TokenSequence) -> float:
-    """Mean token log-loss divided by the measured mean token source
-    length, in bits per source symbol."""
-    if vocab.entries != stream.vocab.entries:
-        raise ParameterError("stream was parsed with a different vocabulary")
-    return predictor.token_log_losses(stream).per_source_symbol()
-
-
 def loss_comparison(
     q: ContextPredictor, vocab: PrefixVocabulary, y_sequence, w: int
 ) -> dict:
     """Cumulative source loss vs cumulative transferred token loss on one
     sequence, with the telescoping constant 2*log2(1/lambda_q)."""
     seq = vocab.alphabet.encode(y_sequence)
-    tp = transfer(q, vocab, w)
+    tp = TransferredPredictor(q, vocab, w)
     return compare_losses(tp, seq, tp.token_log_losses(greedy_parse(vocab, seq)))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from recoding import Alphabet, TransitionKernel, build_vocab
+from recoding import Alphabet, PrefixVocabulary, TransitionKernel
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def hand_kernel(binary):
 @pytest.fixture(scope="session")
 def fig_vocab(binary):
     """The illustrative vocabulary {0, 1, 01, 010}."""
-    return build_vocab(binary, ["010"])
+    return PrefixVocabulary(binary, ["010"])
 
 
 @pytest.fixture(scope="session")

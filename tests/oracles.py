@@ -172,6 +172,40 @@ def oracle_p_max(kernel, symbols) -> float:
     return best
 
 
+def oracle_fit(seq, w: int, alpha: float, alphabet_size: int) -> dict[int, np.ndarray]:
+    """The n-gram fit as a dict from each context code the sequence holds
+    to its row (count(c,y) + alpha) / (count(c) + alpha*A), plain
+    frequencies when alpha is 0; absent contexts are uniform."""
+    a = alphabet_size
+    seq = [int(v) for v in seq]
+    counts: dict[int, np.ndarray] = {}
+    for t in range(w, len(seq)):
+        code = 0
+        for sym in seq[t - w : t]:
+            code = code * a + sym
+        counts.setdefault(code, np.zeros(a, dtype=np.int64))[seq[t]] += 1
+    rows = {}
+    for code, cnt in counts.items():
+        tot = cnt.sum()
+        rows[code] = (cnt + alpha) / (tot + alpha * a) if alpha > 0 else cnt / tot
+    return rows
+
+
+def oracle_log_loss(rows: dict[int, np.ndarray], seq, w: int, alphabet_size: int) -> float:
+    """Mean -log2 q(y_t | context) over t >= w for a dict table as
+    `oracle_fit` returns it."""
+    a = alphabet_size
+    seq = [int(v) for v in seq]
+    total = 0.0
+    for t in range(w, len(seq)):
+        code = 0
+        for sym in seq[t - w : t]:
+            code = code * a + sym
+        p = rows[code][seq[t]] if code in rows else 1.0 / a
+        total += -math.log2(p) if p > 0 else math.inf
+    return total / (len(seq) - w)
+
+
 def oracle_greedy_parse(entry_set: set[tuple], seq) -> list[tuple]:
     """Longest-match parsing by slicing against a plain set of strings."""
     seq = [int(v) for v in seq]

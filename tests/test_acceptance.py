@@ -96,7 +96,7 @@ def test_criterion_3_greedy_round_trip(fig_vocab):
             rng.integers(0, a, size=int(rng.integers(1, 6))).astype(np.int32)
             for _ in range(int(rng.integers(0, 4)))
         ]
-        vocab = r.build_vocab(alphabet, strings)
+        vocab = r.PrefixVocabulary(alphabet, strings)
         seq = rng.integers(0, a, size=int(rng.integers(1, 120))).astype(np.int32)
         if not np.array_equal(r.expand(vocab, r.greedy_parse(vocab, seq)), seq):
             failures += 1
@@ -111,7 +111,7 @@ def test_criterion_3_greedy_round_trip(fig_vocab):
 def test_criterion_4_transfer_difference_bounded(fig_vocab):
     t0 = time.time()
     kernel = r.sample_kernel(2, 1, 0.5, 4)
-    q = r.smooth(r.optimal_predictor(kernel, 1), 0.01)
+    q = r.optimal_predictor(kernel, 1).smoothed(0.01)
     lam = q.positivity_floor()
     diffs = []
     for n in (10**3, 10**4, 10**5):
@@ -133,8 +133,8 @@ def test_criterion_5_transfer_reaches_entropy_rate(kernel12):
     vocab = r.train_lzw(seq[:500_000], 1024, kernel12.alphabet)
     stream = r.greedy_parse(vocab, seq)
     ws = r.worst_case_span(vocab, 4, "empirical", stream)
-    q = r.smooth(r.optimal_predictor(kernel12, 12), 1e-6)
-    tp = r.transfer(q, vocab, 4)
+    q = r.optimal_predictor(kernel12, 12).smoothed(1e-6)
+    tp = r.TransferredPredictor(q, vocab, 4)
     loss = tp.token_log_losses(stream, gate=12).per_source_symbol()
     rate = r.entropy_rate(kernel12)
     elapsed = time.time() - t0
@@ -165,8 +165,8 @@ def test_criterion_6_typical_span_bound():
                 int(min(spans[int(q * (len(spans) - 1))], 14))
                 for q in (0.1, 0.6)})
             for ws in targets:
-                q_pred = r.smooth(r.optimal_predictor(kernel, ws), 1e-6)
-                typ = r.make_typical(r.transfer(q_pred, vocab, w), ws)
+                q_pred = r.optimal_predictor(kernel, ws).smoothed(1e-6)
+                typ = r.TypicalPredictor(r.TransferredPredictor(q_pred, vocab, w), ws)
                 bd = typ.token_log_losses(stream)
                 eps = bd.bad_window_fraction()
                 bound = (r.conditional_entropy(kernel, ws)

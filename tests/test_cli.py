@@ -179,6 +179,47 @@ class TestTransferCheck:
         assert result.exit_code == 3
 
 
+class TestAllOrNothing:
+    """A run that fails part-way exits with its documented code and writes
+    no artifact, not even those of the pairs that succeeded."""
+
+    def test_tok_train(self, runner, tmp_path):
+        # size 2 is the alphabet; size 4 cannot train on a 1-symbol prefix
+        result = runner.invoke(main, [
+            "tok-train", "--order", "1", "--n", "100", "--sizes", "2,4",
+            "--train-prefix", "1", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "at least 2 symbols" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_span_cdf(self, runner, tmp_path):
+        # the 1-token windows succeed; 200 symbols are too few for 150-token ones
+        result = runner.invoke(main, [
+            "span-cdf", "--order", "1", "--n", "200", "--sizes", "2",
+            "--windows", "1,150", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "150-token windows" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_transfer_check(self, runner, tmp_path):
+        # window 2 succeeds; window 40 needs a 2**41-entry joint table
+        result = runner.invoke(main, [
+            "transfer-check", "--order", "1", "--n", "2000", "--tokenizer", "identity",
+            "--window", "2", "--window", "40", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "capacity error" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_heavy_hitting(self, runner, tmp_path):
+        # budget 2 succeeds; budget 64 parses 12 symbols into too few tokens
+        result = runner.invoke(main, [
+            "heavy-hitting", "--order", "1", "--n", "12", "--budgets", "2,64",
+            "--window", "4", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "4-token windows" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHeavyHitting:
     def test_budget_sweep(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -207,7 +248,7 @@ class TestHeavyHitting:
 
     def test_external_vocab_span_analysis(self, runner, tmp_path):
         # the neutral JSON vocabulary format is accepted directly
-        vocab = r.build_vocab(r.Alphabet.of_size(2), ["010", "11"])
+        vocab = r.PrefixVocabulary(r.Alphabet.of_size(2), ["010", "11"])
         vpath = tmp_path / "external_vocab.json"
         vocab.save(vpath)
         result = runner.invoke(main, [

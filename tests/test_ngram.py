@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recoding as r
 from recoding.ngram import window_codes
-from oracles import oracle_window_law
+from oracles import oracle_fit, oracle_log_loss, oracle_window_law
 
 
 class TestFit:
@@ -41,9 +43,64 @@ class TestFit:
         assert pred.positivity_floor() > 0
 
 
+class TestFitMatchesOracle:
+    """fit, log_loss and in_sample_log_loss against the dict-based fit of
+    `oracles.oracle_fit`; contexts the sequence never holds get the
+    uniform row."""
+
+    @staticmethod
+    def draw_case(data):
+        a = data.draw(st.sampled_from([2, 3, 36]), label="A")
+        w = data.draw(st.integers(0, 3 if a < 36 else 2), label="w")
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]), label="alpha")
+        top = data.draw(st.integers(0, a - 1), label="largest symbol")
+        seq = data.draw(st.lists(st.integers(0, top), min_size=w + 1, max_size=150), label="seq")
+        return a, w, alpha, np.array(seq, dtype=np.int32)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_losses(self, data):
+        a, w, alpha, seq = self.draw_case(data)
+        alphabet = r.Alphabet.of_size(a)
+        pred = r.fit(seq, w, alpha, alphabet)
+        ref = oracle_fit(seq, w, alpha, a)
+        codes = np.arange(a**w)
+        expected = np.array([ref.get(c, np.full(a, 1.0 / a)) for c in codes.tolist()])
+        assert np.allclose(pred.rows_for(codes), expected, rtol=0, atol=1e-12)
+        order = data.draw(st.permutations(codes.tolist()), label="query order")
+        assert np.array_equal(pred.rows_for(np.array(order, dtype=np.int64)), pred.rows_for(codes)[order])
+        assert np.array_equal(pred.row(int(codes[-1])), pred.rows_for(codes)[-1])
+        assert pred.positivity_floor() == expected.min()
+        loss = oracle_log_loss(ref, seq, w, a)
+        assert r.log_loss(pred, seq) == pytest.approx(loss, rel=0, abs=1e-12)
+        assert r.in_sample_log_loss(seq, w, alpha, alphabet) == pytest.approx(loss, rel=0, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), eta=st.sampled_from([1e-6, 0.01, 0.5]))
+    def test_smoothed_rows(self, data, eta):
+        a, w, alpha, seq = self.draw_case(data)
+        pred = r.fit(seq, w, alpha, r.Alphabet.of_size(a)).smoothed(eta)
+        ref = oracle_fit(seq, w, alpha, a)
+        codes = np.arange(a**w)
+        expected = np.array([(1 - eta) * ref[c] + eta / a if c in ref else np.full(a, 1.0 / a)
+                             for c in codes.tolist()])
+        assert np.allclose(pred.rows_for(codes), expected, rtol=0, atol=1e-12)
+        assert pred.positivity_floor() == pytest.approx(expected.min(), rel=0, abs=1e-15)
+
+    def test_unseen_contexts_between_and_beyond_rows(self, binary):
+        # "0011" at w=2 holds contexts 00 and 01 only: 10 and 11 lie past the
+        # last row, and a query list mixes hits and misses
+        pred = r.fit("0011", 2, 0.0, binary)
+        rows = pred.rows_for(np.array([3, 0, 2, 1, 0]))
+        assert rows.tolist() == [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
+        pred = r.fit("1100", 2, 0.0, binary)  # contexts 10 and 11; 00 and 01 lie before
+        assert pred.rows_for(np.array([0, 1, 2, 3])).tolist() == [
+            [0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]
+
+
 class TestLogLoss:
     def test_uniform_predictor_exact(self, binary):
-        pred = r.ContextPredictor(binary, 1)
+        pred = r.ContextPredictor(binary, 1, np.full((2, 2), 0.5))
         seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 4), 1000, 5)
         assert r.log_loss(pred, seq) == pytest.approx(1.0, abs=1e-12)
 
@@ -150,28 +207,6 @@ class TestOptimalPredictor:
         for w in (0, 1, 2):
             emp = r.log_loss(r.optimal_predictor(k, w), seq)
             assert abs(emp - r.conditional_entropy(k, w)) < 0.01
-
-
-class TestSerialization:
-    def test_counts_roundtrip(self, binary):
-        seq = r.sample_sequence(r.sample_kernel(2, 2, 0.5, 1), 3000, 2)
-        pred = r.fit(seq, 2, 0.5, binary)
-        back = r.ContextPredictor.from_json(pred.to_json())
-        codes = np.arange(4)
-        assert np.allclose(back.rows_for(codes), pred.rows_for(codes), atol=1e-15)
-        assert back.alpha == pred.alpha
-
-    def test_file_roundtrip(self, tmp_path, binary):
-        pred = r.fit("010011010", 1, 0.5, binary)
-        path = tmp_path / "pred.json"
-        pred.save(path)
-        back = r.ContextPredictor.load(path)
-        assert np.allclose(back.row(0), pred.row(0))
-
-    def test_exact_predictor_not_serializable(self, hand_kernel):
-        pred = r.optimal_predictor(hand_kernel, 1)
-        with pytest.raises(r.FormatError):
-            pred.to_json()
 
 
 class TestWindowCodes:

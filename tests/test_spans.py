@@ -24,21 +24,23 @@ def lzw_setup():
 
 
 class TestSourceSpan:
+    """A window's source span is the length of its expansion."""
+
     def test_reference_window(self, fig_vocab):
         window = [fig_vocab.id_of("010"), fig_vocab.id_of("1")]
-        assert r.source_span(fig_vocab, window) == 4
+        assert len(r.expand(fig_vocab, window)) == 4
 
     def test_single_symbol_tokens(self, binary):
-        vocab = r.build_vocab(binary, [])
-        assert r.source_span(vocab, [0, 1, 0]) == 3
+        vocab = r.PrefixVocabulary(binary, [])
+        assert len(r.expand(vocab, [0, 1, 0])) == 3
 
     def test_empty_window(self, fig_vocab):
-        assert r.source_span(fig_vocab, []) == 0
+        assert len(r.expand(fig_vocab, [])) == 0
 
 
 class TestSpanDistribution:
     def test_identity_vocab_point_mass(self, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 1), 500, 2)
         stream = r.greedy_parse(vocab, seq)
         rep = r.span_distribution(vocab, stream, 3)
@@ -46,7 +48,7 @@ class TestSpanDistribution:
         assert rep.worst_case_span == 3
 
     def test_fixed_length_tokens(self, binary):
-        vocab = r.build_vocab(binary, ["00", "01", "10", "11"])
+        vocab = r.PrefixVocabulary(binary, ["00", "01", "10", "11"])
         seq = r.sample_sequence(r.sample_kernel(2, 1, 2.0, 3), 2000, 4)
         stream = r.greedy_parse(vocab, seq)
         rep = r.span_distribution(vocab, stream, 4)
@@ -71,7 +73,7 @@ class TestSpanDistribution:
 
 class TestWorstCaseSpan:
     def test_identity_vocab(self, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         assert r.worst_case_span(vocab, 7, "exhaustive") == 7
 
     def test_reference_empirical(self, fig_vocab, parsed_stream):
@@ -99,18 +101,21 @@ class TestWorstCaseSpan:
 
 
 class TestTypicalEpsilon:
+    """epsilon(w, w_s): the fraction of w-token windows spanning fewer
+    than w_s source symbols."""
+
     def test_zero_below_window_length(self, lzw_setup):
         _, vocab, stream = lzw_setup
-        assert r.typical_epsilon(vocab, stream, 4, 4) == 0.0
+        assert r.span_distribution(vocab, stream, 4).epsilon(4) == 0.0
 
     def test_zero_at_worst_case(self, lzw_setup):
         _, vocab, stream = lzw_setup
         ws = r.worst_case_span(vocab, 4, "empirical", stream)
-        assert r.typical_epsilon(vocab, stream, 4, ws) == 0.0
+        assert r.span_distribution(vocab, stream, 4).epsilon(ws) == 0.0
 
     def test_cdf_shape(self, lzw_setup):
         _, vocab, stream = lzw_setup
-        spans = [r.typical_epsilon(vocab, stream, 4, ws) for ws in range(1, 60)]
+        spans = [eps for _, eps, _ in r.slack_curve(vocab, stream, 4, range(1, 60))]
         assert all(b >= a for a, b in zip(spans, spans[1:]))
         assert spans[0] == 0.0
         assert spans[-1] == 1.0
@@ -118,7 +123,7 @@ class TestTypicalEpsilon:
 
 class TestCompressionStats:
     def test_identity(self, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 5), 1000, 6)
         stream = r.greedy_parse(vocab, seq)
         alpha, rate = r.compression_stats(vocab, stream)
@@ -154,8 +159,13 @@ class TestSlackCurve:
     def test_epsilon_matches_pointwise(self, lzw_setup):
         _, vocab, stream = lzw_setup
         curve = r.slack_curve(vocab, stream, 4, [10, 20, 30])
+        # spans of the 4-token windows that start at token 4 or later
+        ends = np.cumsum(vocab.lengths[stream.ids])
+        window_spans = ends[7:] - ends[3:-4]
+        rep = r.span_distribution(vocab, stream, 4)
         for ws, eps, _ in curve:
-            assert eps == pytest.approx(r.typical_epsilon(vocab, stream, 4, ws))
+            assert eps == pytest.approx(float(np.mean(window_spans < ws)))
+            assert eps == pytest.approx(rep.epsilon(ws))
 
 
 class TestPMax:
@@ -193,7 +203,7 @@ class TestHeavyHitting:
     def test_identity_vocab_degenerate(self, binary):
         k = r.sample_kernel(2, 1, 2.0, 5)
         seq = r.sample_sequence(k, 20_000, 6)
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         stream = r.greedy_parse(vocab, seq)
         rep = r.heavy_hitting_report(k, vocab, stream, beta=0.8, d=2, w=4)
         assert rep.degenerate
@@ -201,7 +211,7 @@ class TestHeavyHitting:
 
     def test_zero_delta_rejected(self, binary):
         k = r.TransitionKernel(binary, 1, np.array([[1.0, 0.0], [0.5, 0.5]]))
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         stream = r.TokenSequence(vocab, np.zeros(100, dtype=np.int32))
         with pytest.raises(r.AssumptionViolationError):
             r.heavy_hitting_report(k, vocab, stream, 0.8, 2)

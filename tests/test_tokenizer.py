@@ -23,7 +23,7 @@ def random_vocab_and_seq(seed, max_len=300):
     for _ in range(n_strings):
         length = int(rng.integers(1, 6))
         strings.append(rng.integers(0, a, size=length).astype(np.int32))
-    vocab = r.build_vocab(alphabet, strings)
+    vocab = r.PrefixVocabulary(alphabet, strings)
     seq = rng.integers(0, a, size=int(rng.integers(1, max_len))).astype(np.int32)
     return vocab, seq
 
@@ -33,16 +33,16 @@ class TestBuildVocab:
         assert entry_labels(fig_vocab) == ["0", "01", "010", "1"]
 
     def test_no_strings_gives_alphabet(self, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         assert entry_labels(vocab) == ["0", "1"]
 
     def test_closure_of_0110(self, binary):
-        vocab = r.build_vocab(binary, ["0110"])
+        vocab = r.PrefixVocabulary(binary, ["0110"])
         assert entry_labels(vocab) == ["0", "01", "011", "0110", "1"]
 
     def test_empty_string_rejected(self, binary):
         with pytest.raises(r.FormatError):
-            r.build_vocab(binary, [""])
+            r.PrefixVocabulary(binary, [""])
 
     def test_prefix_closure_audit(self):
         for seed in range(20):
@@ -58,7 +58,7 @@ class TestBuildVocab:
     @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8), max_size=8))
     def test_entries_are_every_prefix(self, words):
         alphabet = r.Alphabet.of_size(3)
-        vocab = r.build_vocab(alphabet, [np.array(w, dtype=np.int32) for w in words])
+        vocab = r.PrefixVocabulary(alphabet, [np.array(w, dtype=np.int32) for w in words])
         want = {(i,) for i in range(3)} | {tuple(w[:j]) for w in words
                                            for j in range(1, len(w) + 1)}
         assert vocab.entries == tuple(sorted(want))
@@ -77,7 +77,7 @@ class TestGreedyParse:
         assert labels == ["010", "1", "1", "1", "010", "0"]
 
     def test_alphabet_only_vocab(self, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         ts = r.greedy_parse(vocab, "0110")
         assert [vocab.entry_label(i) for i in ts.ids] == ["0", "1", "1", "0"]
 
@@ -127,20 +127,25 @@ class TestExpand:
 
 
 class TestExtSet:
+    """Symbols by which a token can grow while staying in the vocabulary."""
+
+    @staticmethod
+    def ext_labels(vocab, label):
+        return {vocab.alphabet.symbols[a] for a in np.flatnonzero(vocab.ext_mask[vocab.id_of(label)])}
+
     def test_reference_values(self, fig_vocab):
-        assert r.ext_set(fig_vocab, "0") == {"1"}
-        assert r.ext_set(fig_vocab, "01") == {"0"}
-        assert r.ext_set(fig_vocab, "010") == frozenset()
-        assert r.ext_set(fig_vocab, "1") == frozenset()
+        assert self.ext_labels(fig_vocab, "0") == {"1"}
+        assert self.ext_labels(fig_vocab, "01") == {"0"}
+        assert self.ext_labels(fig_vocab, "010") == set()
+        assert self.ext_labels(fig_vocab, "1") == set()
 
     def test_alphabet_only(self, binary):
-        vocab = r.build_vocab(binary, [])
-        assert r.ext_set(vocab, "0") == frozenset()
-        assert r.ext_set(vocab, "1") == frozenset()
+        vocab = r.PrefixVocabulary(binary, [])
+        assert not vocab.ext_mask.any()
 
     def test_unknown_token(self, fig_vocab):
         with pytest.raises(r.FormatError):
-            r.ext_set(fig_vocab, "11")
+            fig_vocab.id_of("11")
 
 
 class TestTrainBpe:
@@ -256,26 +261,6 @@ class TestTrainLzw:
         for e in entries:
             for j in range(1, len(e)):
                 assert e[:j] in entries
-
-
-class TestTokenStreamIO:
-    def test_varint_roundtrip(self, tmp_path, fig_vocab):
-        ts = r.greedy_parse(fig_vocab, "0101110100")
-        path = tmp_path / "tokens.bin"
-        r.write_token_stream(path, ts)
-        back = r.read_token_stream(path)
-        assert np.array_equal(back.ids, ts.ids)
-        assert back.vocab.entries == fig_vocab.entries
-
-    def test_large_ids(self, tmp_path, binary):
-        k = r.sample_kernel(2, 2, 0.5, 12)
-        seq = r.sample_sequence(k, 50_000, 13)
-        vocab = r.train_lzw(seq, 300, binary)
-        ts = r.greedy_parse(vocab, seq)
-        path = tmp_path / "tokens.bin"
-        r.write_token_stream(path, ts)
-        back = r.read_token_stream(path)
-        assert np.array_equal(back.ids, ts.ids)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,7 @@ def k1():
 
 @pytest.fixture(scope="module")
 def smoothed_q(k1):
-    return r.smooth(r.optimal_predictor(k1, 1), 0.01)
+    return r.optimal_predictor(k1, 1).smoothed(0.01)
 
 
 @pytest.fixture(scope="module")
@@ -26,54 +26,60 @@ def fig_stream(k1, fig_vocab):
 
 class TestSmooth:
     def test_arithmetic(self, binary):
-        pred = r.ContextPredictor(binary, 1, dense=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sm = r.smooth(pred, 0.01)
+        pred = r.ContextPredictor(binary, 1, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        sm = pred.smoothed(0.01)
         assert sm.row(0)[0] == pytest.approx(0.995)
         assert sm.positivity_floor() >= 0.005
 
     def test_uniform_fixed_point(self, binary):
-        pred = r.ContextPredictor(binary, 1)
-        sm = r.smooth(pred, 0.3)
+        pred = r.ContextPredictor(binary, 1, np.full((2, 2), 0.5))
+        sm = pred.smoothed(0.3)
         assert np.allclose(sm.row(0), [0.5, 0.5])
 
     def test_small_eta_limit(self, k1):
         q = r.optimal_predictor(k1, 1)
-        sm = r.smooth(q, 1e-9)
+        sm = q.smoothed(1e-9)
         assert np.allclose(sm.row(0), q.row(0), atol=1e-8)
 
     def test_range_checked(self, k1):
         q = r.optimal_predictor(k1, 1)
         for eta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(r.ParameterError):
-                r.smooth(q, eta)
+                q.smoothed(eta)
 
 
 class TestSeqExtend:
-    def test_single_symbol(self, hand_kernel):
-        q = r.optimal_predictor(hand_kernel, 1)
-        assert r.seq_extend(q, "01", "0") == pytest.approx(0.4)
+    """The probability q gives a string following a history, as
+    `next_token_distribution` reads it for a token nothing extends after
+    a token nothing extends (stop and end factors are then 1)."""
 
-    def test_empty_string(self, hand_kernel):
-        q = r.optimal_predictor(hand_kernel, 1)
-        assert r.seq_extend(q, "0", "") == 1.0
+    def test_single_symbol(self, hand_kernel, binary):
+        vocab = r.PrefixVocabulary(binary, [])
+        tp = r.TransferredPredictor(r.optimal_predictor(hand_kernel, 1), vocab, 2)
+        dist = tp.next_token_distribution([vocab.id_of("0"), vocab.id_of("1")])
+        assert dist[vocab.id_of("0")] == pytest.approx(0.4)
 
-    def test_two_factor_product(self, hand_kernel):
-        q = r.optimal_predictor(hand_kernel, 1)
-        # history ends in 1: q(0|1) * q(1|0) = 0.4 * 0.3
-        assert r.seq_extend(q, "001", "01") == pytest.approx(0.12)
+    def test_two_factor_product(self, hand_kernel, binary):
+        vocab = r.PrefixVocabulary(binary, ["01"])
+        tp = r.TransferredPredictor(r.optimal_predictor(hand_kernel, 1), vocab, 2)
+        # history "011" ends in 1: q(0|1) * q(1|0) = 0.4 * 0.3
+        dist = tp.next_token_distribution([vocab.id_of("01"), vocab.id_of("1")])
+        assert dist[vocab.id_of("01")] == pytest.approx(0.12)
 
-    def test_short_history_rejected(self, hand_kernel):
+    def test_short_history_rejected(self, hand_kernel, fig_vocab):
+        # a gate below q.w would score windows holding fewer than q.w symbols
         q = r.optimal_predictor(hand_kernel, 2)
-        with pytest.raises(r.PreconditionError):
-            r.seq_extend(q, "1", "0")
+        stream = r.greedy_parse(fig_vocab, "0101110100")
+        with pytest.raises(r.ParameterError):
+            r.TransferredPredictor(q, fig_vocab, 2).token_log_losses(stream, gate=1)
 
 
 class TestTransferConstruction:
     def test_identity_vocab_equals_source(self, k1, smoothed_q, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         seq = r.sample_sequence(k1, 5000, 8)
         stream = r.greedy_parse(vocab, seq)
-        tp = r.transfer(smoothed_q, vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, vocab, 2)
         bd = tp.token_log_losses(stream)
         # token i predicts symbol i with the same context: losses match
         # the per-symbol source losses exactly over the shared range
@@ -88,14 +94,13 @@ class TestTransferConstruction:
     def test_positivity_required(self, k1, fig_vocab):
         exact = r.optimal_predictor(k1, 1)
         if exact.positivity_floor() > 0:
-            exact = r.ContextPredictor(
-                k1.alphabet, 1, dense=np.array([[1.0, 0.0], [0.4, 0.6]]))
+            exact = r.ContextPredictor(k1.alphabet, 1, np.array([[1.0, 0.0], [0.4, 0.6]]))
         with pytest.raises(r.PositivityError):
-            r.transfer(exact, fig_vocab, 2)
+            r.TransferredPredictor(exact, fig_vocab, 2)
 
     def test_normalization_over_legal_tokens(self, smoothed_q, fig_vocab, fig_stream):
         _, stream = fig_stream
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         rng = generator(0, 93)
         for _ in range(1000):
             i = int(rng.integers(2, len(stream.ids)))
@@ -104,7 +109,7 @@ class TestTransferConstruction:
 
     def test_greedy_consistency_zero_probability(self, smoothed_q, fig_vocab, fig_stream):
         _, stream = fig_stream
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         ids = stream.ids
         for i in range(2, 40):
             dist = tp.next_token_distribution(ids[i - 2 : i])
@@ -115,7 +120,7 @@ class TestTransferConstruction:
 
     def test_stop_probabilities_bounded(self, smoothed_q, fig_vocab, fig_stream):
         _, stream = fig_stream
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         bd = tp.token_log_losses(stream)
         stops = bd.stops[bd.valid]
         assert np.all(stops >= tp.lambda_q - 1e-12)
@@ -124,7 +129,7 @@ class TestTransferConstruction:
     def test_losses_match_enumeration_oracle(self, smoothed_q, fig_vocab, k1):
         seq = r.sample_sequence(k1, 3000, 17)
         stream = r.greedy_parse(fig_vocab, seq)
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         bd = tp.token_log_losses(stream)
 
         def q_row(ctx):
@@ -138,12 +143,42 @@ class TestTransferConstruction:
         assert np.allclose(bd.losses, ref, atol=1e-9)
 
     def test_mismatched_stream_rejected(self, smoothed_q, fig_vocab, binary, k1):
-        other = r.build_vocab(binary, ["11"])
+        other = r.PrefixVocabulary(binary, ["11"])
         seq = r.sample_sequence(k1, 1000, 18)
         stream = r.greedy_parse(other, seq)
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         with pytest.raises(r.ParameterError):
             tp.token_log_losses(stream)
+
+
+class TestEvaluateMatchesNextTokenDistribution:
+    """At every evaluated position of a greedy parse, the vectorized loss
+    equals -log2 of `next_token_distribution` at the realised token, and
+    each distribution sums to one; windows spanning fewer than q.w
+    symbols are uniform on both paths."""
+
+    @pytest.mark.parametrize("case", ["fig_vocab", "lzw"])
+    def test_losses_and_normalization(self, case, k1, smoothed_q, fig_vocab):
+        if case == "fig_vocab":
+            vocab, q, w = fig_vocab, smoothed_q, 2
+            seq = r.sample_sequence(k1, 400, 31)
+        else:
+            k = r.sample_kernel(2, 2, 0.5, 32)
+            seq = r.sample_sequence(k, 20_000, 33)
+            vocab = r.train_lzw(seq[:10_000], 32, k.alphabet)
+            q, w = r.optimal_predictor(k, 3).smoothed(0.01), 1
+            seq = seq[10_000:10_600]
+        stream = r.greedy_parse(vocab, seq)
+        tp = r.TransferredPredictor(q, vocab, w)
+        bd = tp.token_log_losses(stream)
+        ids = stream.ids
+        assert bd.losses.size == len(ids) - 1 - w
+        for j, i in enumerate(range(w, len(ids) - 1)):
+            dist = tp.next_token_distribution(ids[i - w : i])
+            assert abs(dist.sum() - 1.0) <= 1e-12
+            assert abs(bd.losses[j] + math.log2(dist[ids[i]])) <= 1e-12
+        if case == "lzw":
+            assert 0 < bd.bad_window_fraction() < 1  # both paths are exercised
 
 
 class TestBoundedDifference:
@@ -170,8 +205,8 @@ class TestBoundedDifference:
 class TestTypicalPredictor:
     def test_all_valid_matches_transferred(self, k1, smoothed_q, fig_vocab, fig_stream):
         _, stream = fig_stream
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
-        typ = r.make_typical(tp, 1)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
+        typ = r.TypicalPredictor(tp, 1)
         a = tp.token_log_losses(stream)
         b = typ.token_log_losses(stream)
         assert np.array_equal(a.losses, b.losses)
@@ -179,17 +214,17 @@ class TestTypicalPredictor:
 
     def test_all_bad_uniform_loss(self, k1, smoothed_q, fig_vocab, fig_stream):
         _, stream = fig_stream
-        tp = r.transfer(smoothed_q, fig_vocab, 2)
-        typ = r.make_typical(tp, 10**9)
+        tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
+        typ = r.TypicalPredictor(tp, 10**9)
         bd = typ.token_log_losses(stream)
         assert np.allclose(bd.losses, math.log2(fig_vocab.size))
         assert bd.bad_window_fraction() == 1.0
 
     def test_gate_must_cover_context(self, k1, fig_vocab):
-        q = r.smooth(r.optimal_predictor(k1, 4), 1e-6)
-        tp = r.transfer(q, fig_vocab, 2)
+        q = r.optimal_predictor(k1, 4).smoothed(1e-6)
+        tp = r.TransferredPredictor(q, fig_vocab, 2)
         with pytest.raises(r.ParameterError):
-            r.make_typical(tp, 2)
+            r.TypicalPredictor(tp, 2)
 
     def test_mixed_stream_bound(self):
         k = r.sample_kernel(2, 2, 0.5, 23)
@@ -197,8 +232,8 @@ class TestTypicalPredictor:
         vocab = r.train_lzw(seq[:100_000], 64, k.alphabet)
         stream = r.greedy_parse(vocab, seq)
         w, ws = 2, 8
-        q = r.smooth(r.optimal_predictor(k, ws), 1e-6)
-        typ = r.make_typical(r.transfer(q, vocab, w), ws)
+        q = r.optimal_predictor(k, ws).smoothed(1e-6)
+        typ = r.TypicalPredictor(r.TransferredPredictor(q, vocab, w), ws)
         bd = typ.token_log_losses(stream)
         eps = bd.bad_window_fraction()
         assert 0 < eps < 1  # genuinely mixed
@@ -208,22 +243,23 @@ class TestTypicalPredictor:
 
 
 class TestPerSourceSymbolLoss:
-    def test_uniform_predictor_rate_identity(self, k1, binary):
+    def test_uniform_predictor_rate_identity(self, k1, smoothed_q, binary):
         seq = r.sample_sequence(k1, 20_000, 25)
-        vocab = r.build_vocab(binary, ["01", "011"])
+        vocab = r.PrefixVocabulary(binary, ["01", "011"])
         stream = r.greedy_parse(vocab, seq)
-        uni = r.UniformTokenPredictor(vocab, 2)
+        # gated above every span, the typical predictor is uniform over tokens
+        uni = r.TypicalPredictor(r.TransferredPredictor(smoothed_q, vocab, 2), 10**9)
         alpha, rate = r.compression_stats(vocab, stream)
-        got = r.token_loss_per_source_symbol(uni, vocab, stream)
+        got = uni.token_log_losses(stream).per_source_symbol()
         assert got == pytest.approx(rate * math.log2(2), abs=1e-12)
 
     def test_identity_vocab_true_kernel(self, k1, binary):
-        vocab = r.build_vocab(binary, [])
+        vocab = r.PrefixVocabulary(binary, [])
         seq = r.sample_sequence(k1, 10**6, 26)
         stream = r.greedy_parse(vocab, seq)
-        q = r.smooth(r.optimal_predictor(k1, 1), 1e-9)
-        tp = r.transfer(q, vocab, 2)
-        got = r.token_loss_per_source_symbol(tp, vocab, stream)
+        q = r.optimal_predictor(k1, 1).smoothed(1e-9)
+        tp = r.TransferredPredictor(q, vocab, 2)
+        got = tp.token_log_losses(stream).per_source_symbol()
         assert abs(got - r.entropy_rate(k1)) < 0.01
 
     def test_transferred_meets_source_context_loss(self):
@@ -234,7 +270,7 @@ class TestPerSourceSymbolLoss:
         stream = r.greedy_parse(vocab, seq)
         ws = r.worst_case_span(vocab, 4, "empirical", stream)
         assert ws >= 12
-        q = r.smooth(r.optimal_predictor(k, 12), 1e-6)
-        tp = r.transfer(q, vocab, 4)
+        q = r.optimal_predictor(k, 12).smoothed(1e-6)
+        tp = r.TransferredPredictor(q, vocab, 4)
         got = tp.token_log_losses(stream, gate=12).per_source_symbol()
         assert got <= r.entropy_rate(k) + 0.02
