@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DataError, ParameterError
-from .sources import Alphabet, TransitionKernel, window_law, DEFAULT_TABLE_BUDGET
+from .sources import Alphabet, TransitionKernel, encode_corpus, window_law, DEFAULT_TABLE_BUDGET
 
 _CODE_LIMIT = 1 << 62
 
@@ -98,12 +98,7 @@ def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | No
         raise ParameterError("w must be >= 0")
     if laplace_alpha < 0:
         raise ParameterError("laplace_alpha must be >= 0")
-    if alphabet is None:
-        if isinstance(sequence, str):
-            alphabet = Alphabet.from_text(sequence)
-        else:
-            raise ParameterError("alphabet is required for index sequences")
-    seq = alphabet.encode(sequence)
+    alphabet, seq = encode_corpus(sequence, alphabet)
     a = alphabet.size
     if a ** (w + 1) > _CODE_LIMIT:
         raise CapacityError("context table space exceeds the code limit")

@@ -97,6 +97,15 @@ class Alphabet:
         return "".join(self.symbols[i] for i in idx)
 
 
+def encode_corpus(corpus, alphabet: Alphabet | None) -> tuple[Alphabet, np.ndarray]:
+    """`alphabet`, or a text corpus's own when None, and the corpus as indices."""
+    if alphabet is None:
+        if not isinstance(corpus, str):
+            raise ParameterError("alphabet is required for index sequences")
+        alphabet = Alphabet.from_text(corpus)
+    return alphabet, alphabet.encode(corpus)
+
+
 class TransitionKernel:
     """k-th order conditional law P(y|c), one row per context code."""
 

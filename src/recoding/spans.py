@@ -5,8 +5,7 @@ expansion covers.  Sliding-window statistics drop the first w tokens of a
 stream so the forced start-of-parse boundary does not contaminate the
 stationary picture; `worst_case_span` documents the same convention.
 The fraction of w-token windows spanning fewer than w_s symbols,
-epsilon(w, w_s), is `SpanReport.epsilon(w_s)` and a column of
-`slack_curve`.
+epsilon(w, w_s), is the second column of `slack_curve`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError, DataError, ParameterError
 from .sources import TransitionKernel, min_transition_prob
-from .tokenizer import PrefixVocabulary, TokenSequence
+from .tokenizer import PrefixVocabulary, TokenSequence, expand
 
 
 def _window_spans(stream: TokenSequence, w: int) -> np.ndarray:
@@ -46,9 +45,6 @@ class SpanReport:
     rate: float
     token_count: int
     slack_curve: list[tuple[int, float, float]] = field(default_factory=list)
-
-    def epsilon(self, w_s: int) -> float:
-        return sum(p for s, p in self.span_histogram.items() if s < w_s)
 
     def to_json(self) -> dict:
         return {
@@ -259,15 +255,12 @@ def heavy_hitting_report(
     ell_d = beta * math.log2(d) / math.log2(1.0 / delta)
     threshold = d ** (-beta)
 
+    alpha, rate = compression_stats(vocab, stream)  # DataError on an empty stream
     ids = stream.ids
     m = len(ids)
-    if m == 0:
-        raise DataError("empty token stream")
     uniq, counts = np.unique(ids, return_counts=True)
     freq = counts / m
-    pmax_by_entry = np.array(
-        [p_max(kernel, np.asarray(vocab.entries[i], dtype=np.int32)) for i in uniq.tolist()]
-    )
+    pmax_by_entry = np.array([p_max(kernel, expand(vocab, [i])) for i in uniq.tolist()])
     lengths = vocab.lengths[uniq]
 
     miss_mask = pmax_by_entry > threshold
@@ -279,9 +272,6 @@ def heavy_hitting_report(
     window_threshold = math.floor(0.75 * w * ell_d)
     spans = _window_spans(stream, w)
     window_fail = float(np.mean(spans < window_threshold))
-
-    alpha = float(vocab.lengths[ids].mean())
-    rate = math.log2(vocab.size) / (alpha * math.log2(vocab.alphabet.size))
 
     return HeavyHitReport(
         beta=beta,

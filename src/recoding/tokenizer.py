@@ -5,6 +5,16 @@ Every nonempty prefix of an entry is itself an entry and all single
 symbols are entries, so every trie node below the root names a token and
 greedy parsing never needs to backtrack: walk as deep as the input
 allows and emit the node reached.
+
+A vocabulary is one array trie: a (nodes, A) int32 transition table
+(row v: node v's child per symbol, 0 for none; node 0 is the root) and
+each node's parent, symbol and depth.  Nodes are numbered in preorder,
+children in symbol order, which sorts the entries: entry id v - 1 names
+node v.  A node's string is a prefix of the first leaf string below it,
+and only the leaf strings are stored, in one flat array.  Strings are
+built as keys, their symbol indices as big-endian integers of 1, 2 or 4
+bytes (`key_dtype`), which sort as index tuples do and whose prefixes
+are byte prefixes, so sorting keys gives preorder.
 """
 
 from __future__ import annotations
@@ -12,90 +22,100 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .sources import Alphabet, json_alphabet, json_fields, read_json
+from .sources import Alphabet, encode_corpus, json_alphabet, json_fields, read_json
+
+
+def key_dtype(alphabet_size: int) -> np.dtype:
+    """Dtype of one symbol of a string in key form."""
+    return np.dtype(">u1" if alphabet_size <= 256 else ">u2" if alphabet_size <= 65536 else ">u4")
+
+
+def _common_prefix(a: bytes, b: bytes) -> int:
+    """Length in bytes of the longest common prefix of keys a < b."""
+    if b.startswith(a):
+        return len(a)
+    m = min(len(a), len(b))
+    return int(np.argmax(np.frombuffer(a, np.uint8, m) != np.frombuffer(b, np.uint8, m)))
 
 
 class PrefixVocabulary:
-    """Token dictionary stored as a trie; entry ids index the sorted
-    entry list so serialization order never matters."""
+    """The closure under prefixes of `strings` (anything `Alphabet.encode`
+    takes, or keys as bytes) and of the single symbols, as an array trie."""
 
-    def __init__(self, alphabet: Alphabet, strings, budget: int | None = None):
-        closed: set[tuple[int, ...]] = {(i,) for i in range(alphabet.size)}
+    def __init__(self, alphabet: Alphabet, strings):
+        dt = key_dtype(alphabet.size)
+        width = dt.itemsize
+        keys = {row.tobytes() for row in np.arange(alphabet.size).astype(dt)[:, None]}
         for s in strings:
-            word = tuple(int(v) for v in alphabet.encode(s))
-            if not word:
+            key = s if isinstance(s, bytes) else alphabet.encode(s).astype(dt).tobytes()
+            if not key:
                 raise FormatError("vocabulary entries must be nonempty")
-            for j in range(len(word), 0, -1):  # closed stays prefix-closed
-                if word[:j] in closed:
-                    break
-                closed.add(word[:j])
-        if budget is not None and len(closed) > budget:
-            raise ParameterError(
-                f"closed vocabulary has {len(closed)} entries, budget is {budget}"
-            )
+            keys.add(key)
+        keys = sorted(keys)
+
+        # one chain of new nodes per key, past its common prefix with the last
+        parent, depth, suffixes = [-1], [0], []
+        path = [0]  # the last key's nodes, root first
+        for prev, key in zip([b""] + keys, keys):
+            keep = _common_prefix(prev, key) // width
+            del path[keep + 1 :]
+            new = range(len(parent), len(parent) + len(key) // width - keep)
+            parent.append(path[keep])
+            parent.extend(new[:-1])
+            path.extend(new)
+            depth.extend(range(keep + 1, len(path)))
+            suffixes.append(key[keep * width :])
+        leaves = [k for k, nxt in zip(keys, keys[1:] + [b""]) if not nxt.startswith(k)]
+
         self.alphabet = alphabet
-        self.entries: tuple[tuple[int, ...], ...] = tuple(sorted(closed))
-        self._id_of = {e: i for i, e in enumerate(self.entries)}
+        self.size = len(depth) - 1
+        self.parent = np.array(parent, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        self.lengths = self.depth[1:]
+        self.symbol = np.concatenate([[-1], np.frombuffer(b"".join(suffixes), dt)]).astype(np.int64)
+        self.trans = np.zeros((len(depth), alphabet.size), dtype=np.int32)
+        self.trans[self.parent[1:], self.symbol[1:]] = np.arange(1, len(depth))
+        # node v's string is flat[start[v] : start[v] + depth[v]]
+        self.flat = np.frombuffer(b"".join(leaves), dt).astype(np.int32)
+        leaf_nodes = np.flatnonzero(~self.trans.any(axis=1))
+        leaf_starts = np.cumsum(self.depth[leaf_nodes]) - self.depth[leaf_nodes]
+        self.start = leaf_starts[np.searchsorted(leaf_nodes, np.arange(len(depth)))]
 
-        # trie over entries; node 0 is the root, every other node is an entry
-        children: list[dict[int, int]] = [{}]
-        token_at: list[int] = [-1]
-        node_of = np.zeros(len(self.entries), dtype=np.int64)
-        for eid, word in enumerate(self.entries):
-            node = 0
-            for sym in word:
-                nxt = children[node].get(sym)
-                if nxt is None:
-                    nxt = len(children)
-                    children[node][sym] = nxt
-                    children.append({})
-                    token_at.append(-1)
-                node = nxt
-            token_at[node] = eid
-            node_of[eid] = node
-        self._children = children
-        self._token_at = token_at
-        self._node_of = node_of
+    @cached_property
+    def ext_mask(self) -> np.ndarray:
+        """ext_mask[i, s]: entry i extended by symbol s is an entry."""
+        return self.trans[1:] > 0
 
-        self.lengths = np.array([len(e) for e in self.entries], dtype=np.int64)
-        self.first_symbols = np.array([e[0] for e in self.entries], dtype=np.int64)
-        ext = np.zeros((len(self.entries), alphabet.size), dtype=bool)
-        for eid in range(len(self.entries)):
-            for sym in children[node_of[eid]]:
-                ext[eid, sym] = True
-        self.ext_mask = ext
-        self.ext_mask.flags.writeable = False
-        if alphabet.size <= 256:
-            self._entry_bytes = [bytes(e) for e in self.entries]
-        else:
-            self._entry_bytes = None
+    @cached_property
+    def first_symbols(self) -> np.ndarray:
+        """A node's depth-1 ancestor is the last depth-1 node up to it in preorder."""
+        nodes = np.arange(len(self.depth))
+        return self.symbol[np.maximum.accumulate(np.where(self.depth == 1, nodes, 0))[1:]]
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Every entry's symbol indices, in id order."""
+        flat = self.flat.tolist()
+        return tuple(tuple(flat[s : s + d])
+                     for s, d in zip(self.start[1:].tolist(), self.lengths.tolist()))
 
     def id_of(self, string) -> int:
-        word = tuple(int(v) for v in self.alphabet.encode(string))
-        eid = self._id_of.get(word)
-        if eid is None:
+        node = 0
+        for sym in self.alphabet.encode(string).tolist():
+            node = int(self.trans[node, sym])
+            if not node:
+                break
+        if not node:
             raise FormatError(f"{string!r} is not a vocabulary entry")
-        return eid
+        return node - 1
 
     def entry_label(self, eid: int) -> str:
-        return self.alphabet.decode(self.entries[eid])
-
-    def to_json(self) -> dict:
-        labels = self.alphabet.symbols
-        if all(len(s) == 1 for s in labels):
-            entries = ["".join(labels[i] for i in e) for e in self.entries]
-        else:
-            entries = [[labels[i] for i in e] for e in self.entries]
-        return {"alphabet": list(labels), "entries": entries}
+        return self.alphabet.decode(expand(self, [eid]))
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrefixVocabulary":
@@ -110,7 +130,19 @@ class PrefixVocabulary:
         return cls(alphabet, entries)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
+        """Write {"alphabet": labels, "entries": every entry in id order}
+        as sorted-key JSON, one entry at a time: the entries' total length
+        grows with the square of the longest one."""
+        labels = self.alphabet.symbols
+        flat = [labels[i] for i in self.flat.tolist()]
+        if all(len(s) == 1 for s in labels):  # entries as strings, else as label lists
+            flat = "".join(flat)
+        spans = zip(self.start[1:].tolist(), self.lengths.tolist())
+        with open(path, "w") as f:
+            f.write(f'{{"alphabet": {json.dumps(list(labels))}, "entries": [')
+            for eid, (s, d) in enumerate(spans):
+                f.write((", " if eid else "") + json.dumps(flat[s : s + d]))
+            f.write("]}")
 
     @classmethod
     def load(cls, path) -> "PrefixVocabulary":
@@ -129,45 +161,36 @@ class TokenSequence:
 def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
     """Left-to-right longest match; expanding the result recovers the input."""
     seq = vocab.alphabet.encode(y_sequence)
-    n = len(seq)
-    if vocab._entry_bytes is not None:
-        data = seq.astype(np.uint8).tobytes()
-    else:
-        data = seq.tolist()
-    children = vocab._children
-    token_at = vocab._token_at
-    out = []
+    trans = vocab.trans.tolist()
+    root = row = trans[0]
+    node = 0
+    out = []  # the node at which each token ends
     append = out.append
-    pos = 0
-    while pos < n:
-        node = children[0][data[pos]]
-        j = pos + 1
-        while j < n:
-            nxt = children[node].get(data[j])
-            if nxt is None:
-                break
+    for sym in memoryview(seq):
+        nxt = row[sym]
+        if nxt:
             node = nxt
-            j += 1
-        append(token_at[node])
-        pos = j
-    return TokenSequence(vocab, np.asarray(out, dtype=np.int32))
+        else:  # the token ends before sym
+            append(node)
+            node = root[sym]
+        row = trans[node]
+    if len(seq):
+        append(node)
+    return TokenSequence(vocab, np.array(out, dtype=np.int32) - 1)
 
 
 def expand(vocab: PrefixVocabulary, tokens) -> np.ndarray:
     """Concatenate the source strings of a token sequence."""
-    if isinstance(tokens, TokenSequence):
-        ids = tokens.ids
-    else:
-        ids = np.asarray(tokens, dtype=np.int64)
+    ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
         raise FormatError("unknown token id")
-    if vocab._entry_bytes is not None:
-        eb = vocab._entry_bytes
-        raw = b"".join(eb[i] for i in ids.tolist())
-        return np.frombuffer(raw, dtype=np.uint8).astype(np.int32)
-    parts = [vocab.entries[i] for i in ids.tolist()]
-    flat = [s for p in parts for s in p]
-    return np.asarray(flat, dtype=np.int32)
+    lens = vocab.depth[ids + 1]
+    # each output symbol's index in flat: its token's start minus the
+    # token's output offset, plus its own output position
+    shift = vocab.start[ids + 1] - (np.cumsum(lens) - lens)
+    index = np.repeat(shift, lens)
+    index += np.arange(index.size)
+    return vocab.flat[index]
 
 
 def _self_pair_merges(pos: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -205,9 +228,9 @@ def _groups(keys: np.ndarray, bound: int, min_size: int):
         yield key, order[a:b]
 
 
-def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[tuple[int, ...]]:
+def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[bytes]:
     """The units of byte-pair merging over the index sequence `seq`, in
-    merge order: the single symbols, then the merged units.
+    merge order and key form: the single symbols, then the merged units.
 
     Each round merges the pair of adjacent units with the most
     non-overlapping occurrences in the current unit sequence (a run of m
@@ -234,7 +257,8 @@ def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[tup
     nxt[n] = n
     prv = np.arange(-1, n)
     prv[0] = n
-    units: list[tuple[int, ...]] = [(i,) for i in range(alphabet_size)]
+    dt = key_dtype(alphabet_size)
+    units = [np.array([i], dtype=dt).tobytes() for i in range(alphabet_size)]
     heap: list[tuple] = []
     live = n
     min_count = 2
@@ -331,14 +355,9 @@ def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> Pre
     end do not count against target_size.  `bpe_units` gives the merge
     order.
     """
-    if alphabet is None:
-        if isinstance(corpus, str):
-            alphabet = Alphabet.from_text(corpus)
-        else:
-            raise ParameterError("alphabet is required for index sequences")
+    alphabet, seq = encode_corpus(corpus, alphabet)
     if target_size < alphabet.size:
         raise ParameterError("target_size must be at least the alphabet size")
-    seq = alphabet.encode(corpus)
     if len(seq) < 2:
         raise DataError("corpus must contain at least 2 symbols")
     return PrefixVocabulary(alphabet, bpe_units(seq, target_size, alphabet.size))
@@ -350,35 +369,23 @@ def train_lzw(corpus, budget: int, alphabet: Alphabet | None = None) -> PrefixVo
     Each scan step finds the longest dictionary match, inserts the match
     extended by the next symbol, and resumes at that symbol.
     """
-    if alphabet is None:
-        if isinstance(corpus, str):
-            alphabet = Alphabet.from_text(corpus)
-        else:
-            raise ParameterError("alphabet is required for index sequences")
+    alphabet, seq = encode_corpus(corpus, alphabet)
     if budget < alphabet.size:
         raise ParameterError("budget must be at least the alphabet size")
-    seq = alphabet.encode(corpus)
-    data = seq.astype(np.uint8).tobytes() if alphabet.size <= 256 else seq.tolist()
-    n = len(data)
-
-    # nested-dict trie: node maps symbol -> child node
-    root: dict[int, dict] = {i: {} for i in range(alphabet.size)}
-    entries: list[tuple[int, ...]] = [(i,) for i in range(alphabet.size)]
-    size = alphabet.size
+    data = memoryview(seq)
+    n = len(seq)
+    a = alphabet.size
+    trans = [list(range(1, a + 1))] + [[0] * a for _ in range(a)]  # rows as in PrefixVocabulary
+    strings = []
     pos = 0
-    while pos < n and size < budget:
-        node = root
-        j = pos
-        while j < n:
-            child = node.get(data[j])
-            if child is None:
-                break
-            node = child
+    while pos < n and len(trans) <= budget:
+        node, j = 0, pos
+        while j < n and trans[node][data[j]]:
+            node = trans[node][data[j]]
             j += 1
         if j < n:
-            node[data[j]] = {}
-            entries.append(tuple(int(v) for v in seq[pos : j + 1]))
-            size += 1
+            trans[node][data[j]] = len(trans)
+            trans.append([0] * a)
+            strings.append(seq[pos : j + 1])
         pos = j  # single symbols always match, so j > pos
-    return PrefixVocabulary(alphabet, entries, budget=budget)
-
+    return PrefixVocabulary(alphabet, strings)

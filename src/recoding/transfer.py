@@ -96,31 +96,28 @@ class TransferredPredictor:
         ids = np.asarray(context_ids, dtype=np.int64)
         if len(ids) != self.w:
             raise ParameterError(f"context must contain exactly {self.w} tokens")
-        vocab = self.vocab
-        q = self.q
-        n_entries = vocab.size
+        vocab, q = self.vocab, self.q
         history = expand(vocab, ids)
         if len(history) < q.w:
-            return np.full(n_entries, 1.0 / n_entries)
+            return np.full(vocab.size, 1.0 / vocab.size)
         a = q.alphabet.size
-        base = a**q.w if q.w > 0 else 1
-        code0 = 0
-        for sym in history[len(history) - q.w :].tolist():
-            code0 = code0 * a + sym
-        prev = int(ids[-1])
+        # q-probability that each node's string follows the history, and the
+        # source context after it (the root's is the history's), level by level
+        prob = np.ones(vocab.size + 1)
+        code = np.full(vocab.size + 1, window_codes(history, q.w, a)[-1])
+        by_depth = np.argsort(vocab.depth, kind="stable")
+        level_ends = np.cumsum(np.bincount(vocab.depth)).tolist()
+        for lo, hi in zip(level_ends, level_ends[1:]):
+            nodes = by_depth[lo:hi]
+            par, sym = vocab.parent[nodes], vocab.symbol[nodes]
+            prob[nodes] = prob[par] * q.rows_for(code[par])[np.arange(nodes.size), sym]
+            code[nodes] = (code[par] * a + sym) % a**q.w
         ext = vocab.ext_mask
-        denom = 1.0 - float(np.dot(q.row(code0), ext[prev]))
-        out = np.zeros(n_entries)
-        for eid in range(n_entries):
-            if ext[prev, vocab.first_symbols[eid]]:
-                continue
-            p = 1.0
-            code = code0
-            for sym in vocab.entries[eid]:
-                p *= float(q.row(code)[sym])
-                code = (code * a + sym) % base
-            stop = 1.0 - float(np.dot(q.row(code), ext[eid]))
-            out[eid] = p * max(stop, 0.0) / denom
+        prev = int(ids[-1])
+        denom = 1.0 - float(np.dot(q.row(code[0]), ext[prev]))
+        stop = 1.0 - np.einsum("ij,ij->i", q.rows_for(code[1:]), ext.astype(np.float64))
+        out = prob[1:] * np.maximum(stop, 0.0) / denom
+        out[ext[prev, vocab.first_symbols]] = 0.0
         return out
 
 
@@ -150,7 +147,7 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     predictor's context length (guaranteed by the gate).
     """
     vocab = tp.vocab
-    if stream.vocab is not vocab and stream.vocab.entries != vocab.entries:
+    if stream.vocab is not vocab and not np.array_equal(stream.vocab.trans, vocab.trans):
         raise ParameterError("stream was parsed with a different vocabulary")
     q = tp.q
     w = tp.w

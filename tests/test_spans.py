@@ -106,12 +106,12 @@ class TestTypicalEpsilon:
 
     def test_zero_below_window_length(self, lzw_setup):
         _, vocab, stream = lzw_setup
-        assert r.span_distribution(vocab, stream, 4).epsilon(4) == 0.0
+        assert r.slack_curve(vocab, stream, 4, [4]) == [(4, 0.0, 0.0)]
 
     def test_zero_at_worst_case(self, lzw_setup):
         _, vocab, stream = lzw_setup
         ws = r.worst_case_span(vocab, 4, "empirical", stream)
-        assert r.span_distribution(vocab, stream, 4).epsilon(ws) == 0.0
+        assert r.slack_curve(vocab, stream, 4, [ws]) == [(ws, 0.0, 0.0)]
 
     def test_cdf_shape(self, lzw_setup):
         _, vocab, stream = lzw_setup
@@ -162,10 +162,8 @@ class TestSlackCurve:
         # spans of the 4-token windows that start at token 4 or later
         ends = np.cumsum(vocab.lengths[stream.ids])
         window_spans = ends[7:] - ends[3:-4]
-        rep = r.span_distribution(vocab, stream, 4)
         for ws, eps, _ in curve:
-            assert eps == pytest.approx(float(np.mean(window_spans < ws)))
-            assert eps == pytest.approx(rep.epsilon(ws))
+            assert eps == np.count_nonzero(window_spans < ws) / window_spans.size
 
 
 class TestPMax:

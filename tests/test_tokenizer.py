@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +13,33 @@ import recoding as r
 from oracles import oracle_bpe_units, oracle_greedy_parse
 from recoding.demo_text import synthesize_corpus
 from recoding.rng import generator
-from recoding.tokenizer import bpe_units
+from recoding.tokenizer import bpe_units, key_dtype
+
+
+def unit_tuples(seq, target_size, alphabet_size):
+    """`bpe_units` with each unit as a tuple of symbol indices."""
+    dt = key_dtype(alphabet_size)
+    return [tuple(np.frombuffer(u, dt).tolist())
+            for u in bpe_units(seq, target_size, alphabet_size)]
+
+
+def oracle_ids(vocab, seq):
+    """The slicing oracle's parse as entry ids, which index the sorted
+    entries."""
+    assert list(vocab.entries) == sorted(vocab.entries)
+    index = {e: i for i, e in enumerate(vocab.entries)}
+    return [index[t] for t in oracle_greedy_parse(set(vocab.entries), seq)]
+
+
+def check_tables(vocab):
+    """lengths, first_symbols, ext_mask and id_of against `entries`."""
+    entries = vocab.entries
+    entry_set = set(entries)
+    assert vocab.lengths.tolist() == [len(e) for e in entries]
+    assert vocab.first_symbols.tolist() == [e[0] for e in entries]
+    assert vocab.ext_mask.tolist() == [
+        [e + (s,) in entry_set for s in range(vocab.alphabet.size)] for e in entries]
+    assert [vocab.id_of(np.array(e)) for e in entries] == list(range(vocab.size))
 
 
 def entry_labels(vocab):
@@ -99,8 +131,8 @@ class TestGreedyParse:
     def test_matches_slicing_oracle(self):
         for seed in range(15):
             vocab, seq = random_vocab_and_seq(seed)
-            got = [vocab.entries[i] for i in r.greedy_parse(vocab, seq).ids]
-            assert got == oracle_greedy_parse(set(vocab.entries), seq)
+            assert r.greedy_parse(vocab, seq).ids.tolist() == oracle_ids(vocab, seq)
+            check_tables(vocab)
 
     def test_greedy_maximality(self):
         for seed in range(10):
@@ -115,6 +147,45 @@ class TestGreedyParse:
     def test_unknown_symbol(self, fig_vocab):
         with pytest.raises(r.AlphabetError):
             r.greedy_parse(fig_vocab, "012")
+
+
+class TestParseMatchesOracle:
+    """Ids bit for bit against the slicing oracle where a trie walk can go
+    wrong: keys wider than a byte, one long chain of nodes, the ends of
+    the input, and a learned text vocabulary."""
+
+    @staticmethod
+    def check(vocab, seq):
+        ids = r.greedy_parse(vocab, seq).ids
+        assert ids.dtype == np.int32
+        assert ids.tolist() == oracle_ids(vocab, seq)
+        assert np.array_equal(r.expand(vocab, ids), seq)
+        check_tables(vocab)
+
+    def test_alphabet_over_256_symbols(self):
+        rng = generator(0, 97)
+        alphabet = r.Alphabet.of_size(300)
+        words = [rng.integers(200, 300, size=int(rng.integers(1, 7))) for _ in range(30)]
+        picks = rng.integers(0, len(words), size=800)
+        seq = np.concatenate([words[i] for i in picks] + [np.arange(300)]).astype(np.int32)
+        self.check(r.PrefixVocabulary(alphabet, words), seq)
+        assert unit_tuples(seq, 360, 300) == oracle_bpe_units(seq, 360, 300)
+        self.check(r.train_bpe(seq, 360, alphabet), seq)
+        self.check(r.train_lzw(seq, 400, alphabet), seq)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 63, 64, 100, 1024, 1025])
+    def test_all_equal(self, binary, n):
+        seq = np.ones(n, dtype=np.int32)
+        self.check(r.train_bpe(np.ones(max(n, 2), dtype=np.int32), 40, binary), seq)
+
+    @pytest.mark.parametrize("seq", [[], [0], [1]])
+    def test_empty_and_single_symbol(self, fig_vocab, seq):
+        self.check(fig_vocab, np.array(seq, dtype=np.int32))
+
+    def test_text_vocabulary(self):
+        text = synthesize_corpus(20_000, 0)
+        vocab = r.train_bpe(text[:10_000], 256)
+        self.check(vocab, vocab.alphabet.encode(text))
 
 
 class TestExpand:
@@ -193,7 +264,7 @@ class TestBpeUnitsMatchOracle:
     def test_runs(self, runs, a, extra):
         seq = np.array([sym % a for sym, m in runs for _ in range(m)], dtype=np.int32)
         if len(seq) >= 2:
-            assert bpe_units(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
+            assert unit_tuples(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
 
     @settings(max_examples=200, deadline=None)
     @given(period=st.lists(st.integers(0, 3), min_size=1, max_size=7),
@@ -201,12 +272,12 @@ class TestBpeUnitsMatchOracle:
     def test_periodic(self, period, reps, a, extra):
         seq = np.array(period * reps, dtype=np.int32) % a
         if len(seq) >= 2:
-            assert bpe_units(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
+            assert unit_tuples(seq, a + extra, a) == oracle_bpe_units(seq, a + extra, a)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 63, 64, 100, 1025])
     def test_all_equal_until_one_unit(self, n):
         seq = np.zeros(n, dtype=np.int32)
-        units = bpe_units(seq, 40, 1)
+        units = unit_tuples(seq, 40, 1)
         assert units == oracle_bpe_units(seq, 40, 1)
         assert len(units) < 40  # stopped when one unit spans the corpus
 
@@ -218,7 +289,7 @@ class TestBpeUnitsMatchOracle:
     def test_markov_corpora(self, order, alpha, n, seed, sizes):
         seq = r.sample_sequence(r.sample_kernel(2, order, alpha, seed), n, seed)
         for v in sizes:
-            assert bpe_units(seq, v, 2) == oracle_bpe_units(seq, v, 2)
+            assert unit_tuples(seq, v, 2) == oracle_bpe_units(seq, v, 2)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_text_corpus(self, seed):
@@ -226,7 +297,7 @@ class TestBpeUnitsMatchOracle:
         alphabet = r.Alphabet.from_text(text)
         seq = alphabet.encode(text)
         units = oracle_bpe_units(seq, 1024, alphabet.size)
-        assert bpe_units(seq, 1024, alphabet.size) == units
+        assert unit_tuples(seq, 1024, alphabet.size) == units
         assert r.train_bpe(text, 1024).entries == r.PrefixVocabulary(alphabet, units).entries
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -235,6 +306,51 @@ class TestBpeUnitsMatchOracle:
         before = seq.copy()
         r.train_bpe(seq, 24, binary)
         assert np.array_equal(seq, before)
+
+
+class TestVocabularyMemory:
+    def test_doubling_units_in_bounded_memory(self):
+        """Seed 1's order-12 Dirichlet(0.4) sample is all 1s, so its BPE
+        units double up to 65,536 symbols, whose prefixes hold ~2e9
+        symbols.  The child process runs under a 2 GB address-space cap,
+        so storing prefixes fails there rather than exhausting the
+        machine."""
+        code = textwrap.dedent("""
+            import resource
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            import numpy as np
+            import recoding as r
+            seq = r.sample_sequence(r.sample_kernel(2, 12, 0.4, 1), 200_000, 1)
+            vocab = r.train_bpe(seq, 20, r.Alphabet.of_size(2))
+            assert vocab.lengths.max() == 65536
+            ids = r.greedy_parse(vocab, seq).ids
+            assert np.array_equal(r.expand(vocab, ids), seq)
+            ends = np.cumsum(vocab.lengths[ids])[:-1]
+            assert not vocab.ext_mask[ids[:-1], seq[ends]].any()  # greedy maximality
+        """)
+        src = os.path.dirname(os.path.dirname(r.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+
+    def test_build_holds_no_prefix(self):
+        """The V=4096 text vocabulary's entries hold 82.5M symbols in all;
+        its trie has 15,708 nodes."""
+        text = synthesize_corpus(20_000, 0)
+        alphabet = r.Alphabet.from_text(text)
+        units = bpe_units(alphabet.encode(text), 4096, alphabet.size)
+        tracemalloc.start()
+        try:
+            vocab = r.PrefixVocabulary(alphabet, units)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vocab.size == 15_708
+        assert int(vocab.lengths.sum()) > 80_000_000
+        assert peak < 50 * 2**20
 
 
 class TestTrainLzw:
