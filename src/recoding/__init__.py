@@ -57,6 +57,7 @@ from .tokenizer import (
     greedy_parse,
     train_bpe,
     train_lzw,
+    train_vocabularies,
 )
 from .spans import (
     HeavyHitReport,

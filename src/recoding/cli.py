@@ -67,7 +67,7 @@ from .spans import (
     span_distribution,
     worst_case_span,
 )
-from .tokenizer import PrefixVocabulary, greedy_parse, train_bpe, train_lzw
+from .tokenizer import PrefixVocabulary, greedy_parse, train_vocabularies
 from .transfer import TransferredPredictor, TypicalPredictor, compare_losses
 
 _CONFIG_ERRORS = (
@@ -167,6 +167,8 @@ _windows = _list_of(_positive, "integers >= 1", split=int)
 _pairs = _list_of(_pair, "k:M pairs", split=lambda s: [int(x) for x in s.split(":")])
 _specs = _list_of(_spec, "tokenizer specs")
 _files = _list_of(_file, "files", empty_ok=True)
+
+_SIZE_RULE = "each at least the alphabet size (that size gives the identity vocabulary)"
 
 
 def _read_config(path: str) -> dict:
@@ -310,10 +312,14 @@ def gen_source_cmd(cfg):
 
 def run_gen_source(config: ExperimentConfig) -> None:
     src = config.source
+    if src["alphabet_size"] > 256:
+        raise ParameterError("--alphabet-size: raw sequence files support at most 256 symbols")
+    drawn = []  # written only once every seed's kernel and sequence are drawn
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
+        drawn.append((seed, kernel, sample_sequence(kernel, src["n"], seed)))
+    for seed, kernel, seq in drawn:
         kernel.save(config.output_dir / f"kernel_seed{seed}.json")
-        seq = sample_sequence(kernel, src["n"], seed)
         write_sequence(config.output_dir / f"sequence_seed{seed}.bin", seq, kernel.alphabet)
         click.echo(f"seed {seed}: kernel and {src['n']}-symbol sequence written")
 
@@ -378,7 +384,8 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
 @main.command("tok-train")
 @_source_keys(order=12, dirichlet_alpha=0.4, n=25_000_000)
 @_key("--train-prefix", type=int, default=500_000, parse=_int)
-@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints, help="comma list of vocabulary sizes")
+@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints,
+      help=f"comma list of vocabulary sizes; {_SIZE_RULE}")
 @_common_keys()
 @_command
 def tok_train_cmd(cfg):
@@ -394,21 +401,18 @@ def run_tok_train(config: ExperimentConfig) -> None:
     sizes = config.tokenizer["sizes"]
     prefix = config.tokenizer["train_prefix"]
     rows = []
-    vocabs = []  # written only once every (seed, size) succeeded
+    written = []  # written only once every (seed, size) succeeded
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
         seq = sample_sequence(kernel, src["n"], seed)
-        for v in sizes:
-            if v <= kernel.alphabet_size:
-                vocab = PrefixVocabulary(kernel.alphabet, [])
-            else:
-                vocab = train_bpe(seq[:prefix], v, kernel.alphabet)
-            vocabs.append((config.output_dir / f"vocab_seed{seed}_V{v}.json", vocab))
+        vocabs = train_vocabularies(seq[:prefix], kernel.alphabet, [("bpe", v) for v in sizes])
+        for v, vocab in zip(sizes, vocabs):
+            written.append((config.output_dir / f"vocab_seed{seed}_V{v}.json", vocab))
             stream = greedy_parse(vocab, seq)
             ratio = len(seq) / len(stream.ids)
             rows.append([seed, v, vocab.size, len(stream.ids), ratio])
             click.echo(f"seed {seed} V={v}: {vocab.size} entries, ratio {ratio:.3f}")
-    for path, vocab in vocabs:
+    for path, vocab in written:
         vocab.save(path)
     write_csv(config.output_dir / "ratios.csv",
               ["seed", "V", "entries", "tokens", "ratio"], rows, config)
@@ -421,7 +425,8 @@ def run_tok_train(config: ExperimentConfig) -> None:
 @_key("--text", type=click.Path(), default=None, parse=_file,
       help="analyze a text corpus instead of a synthetic source")
 @_source_keys(order=12, dirichlet_alpha=0.4, n=2_000_000)
-@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints, help="BPE vocabulary sizes to train")
+@_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints,
+      help=f"comma list of BPE vocabulary sizes to train; {_SIZE_RULE}")
 @_key("--vocab", "vocab_files", multiple=True, type=click.Path(), default=(), parse=_files,
       help="externally produced vocabulary JSON (repeatable)")
 @_key("--train-prefix", type=int, default=500_000, parse=_int)
@@ -473,12 +478,8 @@ def run_span_cdf(config: ExperimentConfig) -> None:
         seq = sample_sequence(kernel, src["n"], seed)
         label = f"markov_k{src['order']}"
 
-    jobs: list[tuple[str, PrefixVocabulary]] = []
-    for v in sizes:
-        if v <= alphabet.size:
-            jobs.append((f"V{v}", PrefixVocabulary(alphabet, [])))
-        else:
-            jobs.append((f"V{v}", train_bpe(seq[:prefix], v, alphabet)))
+    vocabs = train_vocabularies(seq[:prefix], alphabet, [("bpe", v) for v in sizes])
+    jobs = [(f"V{v}", vocab) for v, vocab in zip(sizes, vocabs)]
     for path in vocab_files:
         vocab = PrefixVocabulary.load(path)
         if vocab.alphabet.symbols != alphabet.symbols:
@@ -513,7 +514,7 @@ def run_span_cdf(config: ExperimentConfig) -> None:
 @main.command("transfer-check")
 @_source_keys(order=2, dirichlet_alpha=0.5, n=200_000)
 @_key("--tokenizer", "tokenizers", multiple=True, default=("identity", "lzw:256"),
-      parse=_specs, help="identity | bpe:V | lzw:d (repeatable)")
+      parse=_specs, help=f"identity | bpe:V | lzw:d (repeatable); V and d: {_SIZE_RULE}")
 @_key("--window", "windows", type=int, multiple=True, default=(4,), parse=_windows)
 @_key("--ws", type=int, default=None, parse=_int,
       help="source context; default = empirical minimum span")
@@ -530,34 +531,34 @@ def transfer_check_cmd(cfg):
     ))
 
 
-def _build_vocab_from_spec(spec: str, seq, alphabet, train_prefix):
+def _tokenizer(spec: str, alphabet_size: int) -> tuple[str, tuple[str, int]]:
+    """A tokenizer spec's artifact name and (method, size) request;
+    identity is a method at the alphabet size, which trains nothing."""
     if spec == "identity":
-        return PrefixVocabulary(alphabet, []), "identity"
-    method, _, arg = spec.partition(":")
-    size = int(arg)
-    train = seq if train_prefix is None else seq[:train_prefix]
-    trainer = train_bpe if method == "bpe" else train_lzw
-    return trainer(train, size, alphabet), f"{method}{size}"
+        return "identity", ("bpe", alphabet_size)
+    method, _, size = spec.partition(":")
+    return f"{method}{int(size)}", (method, int(size))
 
 
 def run_transfer_check(config: ExperimentConfig) -> None:
     src = config.source
     eta = config.params["eta"]
+    specs = config.tokenizer["specs"]
+    prefix = config.tokenizer["train_prefix"]
     rows = []
     reports = []  # written only once every (seed, tokenizer, window) succeeded
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
         seq = sample_sequence(kernel, src["n"], seed)
         rate = entropy_rate(kernel)
-        for spec in config.tokenizer["specs"]:
-            vocab, name = _build_vocab_from_spec(
-                spec, seq, kernel.alphabet, config.tokenizer["train_prefix"])
+        names, requests = zip(*(_tokenizer(spec, kernel.alphabet_size) for spec in specs))
+        for name, vocab in zip(names, train_vocabularies(seq[:prefix], kernel.alphabet, requests)):
             stream = greedy_parse(vocab, seq)
             _, tok_rate = compression_stats(vocab, stream)
             for w in config.windows:
                 ws = config.params["ws"]
                 if ws is None:
-                    ws = worst_case_span(vocab, w, "empirical", stream)
+                    ws = worst_case_span(vocab, w, stream)
                 q = optimal_predictor(kernel, ws).smoothed(eta)
                 target = conditional_entropy(kernel, ws)
                 # gated at ws = q.w, the typical predictor's losses are the
@@ -606,7 +607,8 @@ def run_transfer_check(config: ExperimentConfig) -> None:
 @_key("--kernel", type=click.Path(), default=None, parse=_file,
       help="analyze this kernel JSON instead of sampling one")
 @_key("--beta", type=float, default=0.8, parse=_number)
-@_key("--budgets", default="16,64,256,1024", parse=_ints, help="comma list of dictionary budgets")
+@_key("--budgets", default="16,64,256,1024", parse=_ints,
+      help=f"comma list of dictionary budgets; {_SIZE_RULE}")
 @_key("--window", type=int, default=4, parse=_positive)
 @_key("--eta-transfer", type=float, default=1e-6, parse=_number)
 @_common_keys()
@@ -625,6 +627,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
     src = config.source
     beta = config.params["beta"]
     kernel_file = config.params["kernel"]
+    budgets = config.tokenizer["budgets"]
     w = config.windows[0]
     rows = []
     payloads = []  # written only once every (seed, budget) succeeded
@@ -638,8 +641,8 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
         if delta <= 0:
             raise AssumptionViolationError("kernel is not strictly positive")
         seq = sample_sequence(kernel, src["n"], seed)
-        for d in config.tokenizer["budgets"]:
-            vocab = train_lzw(seq, d, kernel.alphabet)
+        vocabs = train_vocabularies(seq, kernel.alphabet, [("lzw", d) for d in budgets])
+        for d, vocab in zip(budgets, vocabs):
             stream = greedy_parse(vocab, seq)
             report = heavy_hitting_report(kernel, vocab, stream, beta, d, w)
             payload = report.to_json()

@@ -219,7 +219,7 @@ def _mass_table(ids: np.ndarray, n_ids: int, targets: np.ndarray, weights: np.nd
     return flat.reshape(n_ids, n_targets)
 
 
-def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int, table_budget: int):
+def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int):
     """Joint tables of (fragment context, target fragment) per phase.
 
     Enumerates the stationary joint over w+1 source symbols, maps each
@@ -236,11 +236,12 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int, tabl
     m = fmap.block_length
     xa = fmap.fragment_alphabet.size
     length = w + 1
-    if a**length > table_budget:
+    if a**length > DEFAULT_TABLE_BUDGET:
         raise CapacityError(
-            f"decomposition at w={w} needs {a**length} source tuples (budget {table_budget})"
+            f"decomposition at w={w} needs {a**length} source tuples "
+            f"(budget {DEFAULT_TABLE_BUDGET})"
         )
-    joint = window_law(kernel, length, table_budget)
+    joint = window_law(kernel, length)
     live = np.flatnonzero(joint > 0)
     probs = joint[live]
     # fragment string of each tuple, decoding its symbols newest first
@@ -265,11 +266,10 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int, tabl
     return own, full, pooled
 
 
-def _losses(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
-            table_budget: int) -> tuple[float, float, float]:
+def _losses(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> tuple[float, float, float]:
     """(fragmented loss, phase ambiguity, context deficit), bits per source
     symbol, from one set of tables; each public function reads its term."""
-    own, full, pooled = _phase_tables(kernel, fmap, w, table_budget)
+    own, full, pooled = _phase_tables(kernel, fmap, w)
     h_own = [cond_entropy_bits(t) for t in own]
     frag_loss = fmap.block_length * cond_entropy_bits(pooled)
     ambiguity = frag_loss - math.fsum(h_own)
@@ -277,34 +277,30 @@ def _losses(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
     return frag_loss, ambiguity, deficit
 
 
-def exact_fragmented_loss(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
-                          table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
+def exact_fragmented_loss(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
     """Optimal fragmented loss with an Mw-fragment window, bits per source
     symbol: M times the phase-pooled conditional entropy of the target
     fragment."""
-    return _losses(kernel, fmap, w, table_budget)[0]
+    return _losses(kernel, fmap, w)[0]
 
 
-def phase_ambiguity(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
-                    table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
+def phase_ambiguity(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
     """Bits lost because the window hides the target's block position:
     M * [H(target | pooled context) - mean over phases of H(target | context)]."""
-    return _losses(kernel, fmap, w, table_budget)[1]
+    return _losses(kernel, fmap, w)[1]
 
 
-def context_deficit(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
-                    table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
+def context_deficit(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
     """Bits of source history the misaligned window cuts off: the summed
     conditional information the missing prefix carries about each target
     fragment.  Zero whenever w exceeds the Markov order."""
-    return _losses(kernel, fmap, w, table_budget)[2]
+    return _losses(kernel, fmap, w)[2]
 
 
-def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int,
-              table_budget: int = DEFAULT_TABLE_BUDGET) -> DecompositionReport:
+def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> DecompositionReport:
     """Exact source loss, fragmented loss, and the two penalty terms."""
-    frag_loss, ambiguity, deficit = _losses(kernel, fmap, w, table_budget)
-    source_loss = conditional_entropy(kernel, w, table_budget)
+    frag_loss, ambiguity, deficit = _losses(kernel, fmap, w)
+    source_loss = conditional_entropy(kernel, w)
     return DecompositionReport(
         w=w,
         source_loss=source_loss,

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DataError, ParameterError
-from .sources import Alphabet, TransitionKernel, encode_corpus, window_law, DEFAULT_TABLE_BUDGET
+from .sources import Alphabet, TransitionKernel, encode_corpus, window_law
 
 _CODE_LIMIT = 1 << 62
 
@@ -159,15 +159,13 @@ def log_loss_total(predictor: ContextPredictor, sequence) -> float:
     return float(-np.sum(np.log2(probs)))
 
 
-def optimal_predictor(
-    kernel: TransitionKernel, w: int, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> ContextPredictor:
+def optimal_predictor(kernel: TransitionKernel, w: int) -> ContextPredictor:
     """Exact conditional law of the next symbol given each length-w context.
 
     Zero-probability contexts get the uniform row (they are never visited
     by the stationary process).
     """
-    joint = window_law(kernel, w + 1, table_budget)
+    joint = window_law(kernel, w + 1)
     a = kernel.alphabet_size
     table = joint.reshape(a**w, a)
     totals = table.sum(axis=1, keepdims=True)

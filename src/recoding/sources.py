@@ -31,6 +31,11 @@ from .rng import KERNEL_STREAM, SEQUENCE_STREAM, generator
 # that materializes a joint law.
 DEFAULT_TABLE_BUDGET = 10**8
 
+# Power iteration for the stationary law: its invariance tolerance and the
+# step cap after which it falls back to a direct solve.
+_STATIONARY_TOL = 1e-12
+_POWER_STEPS = 4096
+
 _LABEL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 _SAMPLE_CHUNK = 1 << 17
@@ -280,20 +285,18 @@ def _solve_stationary(kernel: TransitionKernel) -> np.ndarray:
     return pi
 
 
-def stationary_law(
-    kernel: TransitionKernel, tol: float = 1e-12, max_iter: int = 10**6
-) -> StationaryLaw:
+def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     """Stationary context law: power iteration, with a sparse direct solve
     for slowly mixing chains.
 
     Power iteration runs on the half-lazy chain (pi + pi P)/2, whose fixed
     point is the same but which also converges for periodic chains, until
-    the true invariance residual TV(pi, pi P) drops below ``tol`` or the
-    floating-point floor.  Chains with a tiny spectral gap (seen in
-    practice for high-order, low-concentration Dirichlet kernels) cannot
-    reach the tolerance by iteration alone; those fall back to solving
-    pi (P - I) = 0 directly, and the result is still checked against the
-    invariance tolerance.
+    the true invariance residual TV(pi, pi P) drops below 1e-12 or the
+    floating-point floor, for at most 4096 steps.  Chains with a tiny
+    spectral gap (seen in practice for high-order, low-concentration
+    Dirichlet kernels) cannot reach the tolerance by iteration alone; those
+    fall back to solving pi (P - I) = 0 directly, and the result is still
+    checked against the invariance tolerance.
     """
     if kernel._stationary is not None:
         return kernel._stationary
@@ -302,11 +305,10 @@ def stationary_law(
     pi = np.full(states, 1.0 / states)
     prev_residual = math.inf
     converged = False
-    iteration_cap = min(max_iter, 4096)
-    for _ in range(iteration_cap):
+    for _ in range(_POWER_STEPS):
         stepped = _context_step(kernel, pi)
         residual = 0.5 * np.abs(stepped - pi).sum()
-        if residual < 1e-15 or (residual >= prev_residual and residual < tol):
+        if residual < 1e-15 or (residual >= prev_residual and residual < _STATIONARY_TOL):
             converged = True
             break
         prev_residual = residual
@@ -314,7 +316,7 @@ def stationary_law(
     if not converged:
         pi = _solve_stationary(kernel)
         residual = 0.5 * np.abs(_context_step(kernel, pi) - pi).sum()
-        if not residual < max(tol, 1e-10):
+        if not residual < max(_STATIONARY_TOL, 1e-10):
             raise ErgodicityError(
                 f"stationary solve left invariance residual {residual:.3e}"
             )
@@ -370,19 +372,17 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def window_law(
-    kernel: TransitionKernel, length: int, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> np.ndarray:
+def window_law(kernel: TransitionKernel, length: int) -> np.ndarray:
     """Exact stationary joint of `length` consecutive symbols, flat base-A
     (oldest symbol most significant)."""
     a = kernel.alphabet_size
     k = kernel.order
     if length < 0:
         raise ParameterError("window length must be >= 0")
-    if a**max(length, 1) > table_budget:
+    if a**max(length, 1) > DEFAULT_TABLE_BUDGET:
         raise CapacityError(
             f"joint over {length} symbols needs {a**length} entries "
-            f"(budget {table_budget})"
+            f"(budget {DEFAULT_TABLE_BUDGET})"
         )
     pi = stationary_law(kernel).pi
     if length == 0:
@@ -396,9 +396,7 @@ def window_law(
     return joint
 
 
-def conditional_entropy(
-    kernel: TransitionKernel, w: int, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> float:
+def conditional_entropy(kernel: TransitionKernel, w: int) -> float:
     """H(Y_0 | previous w symbols) in bits, from the exact stationary joint.
 
     Computed in a single compensated pass over the (w+1)-symbol joint
@@ -409,12 +407,12 @@ def conditional_entropy(
         raise ParameterError("w must be >= 0")
     a = kernel.alphabet_size
     needed = a ** (max(w, kernel.order) + 1)
-    if needed > table_budget:
+    if needed > DEFAULT_TABLE_BUDGET:
         raise CapacityError(
             f"conditional entropy at w={w} needs {needed} table entries "
-            f"(budget {table_budget})"
+            f"(budget {DEFAULT_TABLE_BUDGET})"
         )
-    return cond_entropy_bits(window_law(kernel, w + 1, table_budget).reshape(-1, a))
+    return cond_entropy_bits(window_law(kernel, w + 1).reshape(-1, a))
 
 
 def cond_entropy_bits(table: np.ndarray) -> float:
@@ -427,9 +425,9 @@ def cond_entropy_bits(table: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
-def entropy_rate(kernel: TransitionKernel, table_budget: int = DEFAULT_TABLE_BUDGET) -> float:
+def entropy_rate(kernel: TransitionKernel) -> float:
     """Minimum per-symbol loss once the context covers the order."""
-    return conditional_entropy(kernel, kernel.order, table_budget)
+    return conditional_entropy(kernel, kernel.order)
 
 
 def min_transition_prob(kernel: TransitionKernel) -> float:

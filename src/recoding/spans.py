@@ -64,31 +64,23 @@ class SpanReport:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
 
 
-def compression_stats(
-    vocab: PrefixVocabulary, stream: TokenSequence, source_alphabet_size: int | None = None
-) -> tuple[float, float]:
+def compression_stats(vocab: PrefixVocabulary, stream: TokenSequence) -> tuple[float, float]:
     """(alpha, R): mean source symbols per token and the uniform-code rate
     log2|Z| / (alpha * log2|Y|)."""
     if len(stream.ids) == 0:
         raise DataError("empty token stream")
-    a_src = source_alphabet_size or vocab.alphabet.size
     alpha = float(vocab.lengths[stream.ids].mean())
-    rate = math.log2(vocab.size) / (alpha * math.log2(a_src))
+    rate = math.log2(vocab.size) / (alpha * math.log2(vocab.alphabet.size))
     return alpha, rate
 
 
-def span_distribution(
-    vocab: PrefixVocabulary,
-    stream: TokenSequence,
-    w: int,
-    source_alphabet_size: int | None = None,
-) -> SpanReport:
+def span_distribution(vocab: PrefixVocabulary, stream: TokenSequence, w: int) -> SpanReport:
     """Empirical span histogram over sliding windows of w tokens."""
     spans = _window_spans(stream, w)
     values, counts = np.unique(spans, return_counts=True)
     total = counts.sum()
     hist = {int(v): float(c) / total for v, c in zip(values, counts)}
-    alpha, rate = compression_stats(vocab, stream, source_alphabet_size)
+    alpha, rate = compression_stats(vocab, stream)
     return SpanReport(
         w=w,
         span_histogram=hist,
@@ -99,40 +91,19 @@ def span_distribution(
     )
 
 
-def worst_case_span(
-    vocab: PrefixVocabulary,
-    w: int,
-    mode: str = "empirical",
-    stream: TokenSequence | None = None,
-) -> int:
-    """Minimum source span of a w-token window.
-
-    empirical: minimum over windows observed in a greedy parse.
-    exhaustive: minimum over all w-tuples of entries, which is w times the
-    shortest entry length; it ignores whether a tuple can occur in a
-    greedy parse, so it lower-bounds the empirical value.
-    """
-    if mode == "exhaustive":
-        return w * int(vocab.lengths.min())
-    if mode == "empirical":
-        if stream is None:
-            raise ParameterError("empirical mode requires a parsed stream")
-        return int(_window_spans(stream, w).min())
-    raise ParameterError(f"unknown mode {mode!r}")
+def worst_case_span(vocab: PrefixVocabulary, w: int, stream: TokenSequence) -> int:
+    """Minimum source span of the w-token windows of a greedy parse, the
+    first w tokens dropped."""
+    return int(_window_spans(stream, w).min())
 
 
 def slack_curve(
-    vocab: PrefixVocabulary,
-    stream: TokenSequence,
-    w: int,
-    w_s_values,
-    source_alphabet_size: int | None = None,
+    vocab: PrefixVocabulary, stream: TokenSequence, w: int, w_s_values
 ) -> list[tuple[int, float, float]]:
     """Rows (w_s, epsilon, epsilon * R * log2|Y|) over a span target sweep."""
     spans = np.sort(_window_spans(stream, w))
-    _, rate = compression_stats(vocab, stream, source_alphabet_size)
-    a_src = source_alphabet_size or vocab.alphabet.size
-    scale = rate * math.log2(a_src)
+    _, rate = compression_stats(vocab, stream)
+    scale = rate * math.log2(vocab.alphabet.size)
     out = []
     total = spans.size
     for ws in w_s_values:

@@ -35,6 +35,12 @@ def key_dtype(alphabet_size: int) -> np.dtype:
     return np.dtype(">u1" if alphabet_size <= 256 else ">u2" if alphabet_size <= 65536 else ">u4")
 
 
+def _symbol_keys(alphabet_size: int) -> list[bytes]:
+    """The key of each single symbol, in symbol order."""
+    keys = np.arange(alphabet_size).astype(key_dtype(alphabet_size))
+    return [row.tobytes() for row in keys[:, None]]
+
+
 def _common_prefix(a: bytes, b: bytes) -> int:
     """Length in bytes of the longest common prefix of keys a < b."""
     if b.startswith(a):
@@ -50,7 +56,7 @@ class PrefixVocabulary:
     def __init__(self, alphabet: Alphabet, strings):
         dt = key_dtype(alphabet.size)
         width = dt.itemsize
-        keys = {row.tobytes() for row in np.arange(alphabet.size).astype(dt)[:, None]}
+        keys = set(_symbol_keys(alphabet.size))
         for s in strings:
             key = s if isinstance(s, bytes) else alphabet.encode(s).astype(dt).tobytes()
             if not key:
@@ -257,8 +263,7 @@ def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[byt
     nxt[n] = n
     prv = np.arange(-1, n)
     prv[0] = n
-    dt = key_dtype(alphabet_size)
-    units = [np.array([i], dtype=dt).tobytes() for i in range(alphabet_size)]
+    units = _symbol_keys(alphabet_size)
     heap: list[tuple] = []
     live = n
     min_count = 2
@@ -342,6 +347,63 @@ def bpe_units(seq: np.ndarray, target_size: int, alphabet_size: int) -> list[byt
     return units
 
 
+def lzw_units(seq: np.ndarray, budget: int, alphabet_size: int) -> list[bytes]:
+    """The units of LZW dictionary growth over the index sequence `seq`, in
+    insertion order and key form: the single symbols, then one unit per
+    scan step until `budget` units or the end of `seq`.
+
+    Each scan step finds the longest dictionary match, inserts the match
+    extended by the next symbol, and resumes at that symbol.
+    """
+    data = memoryview(seq)
+    keys = seq.astype(key_dtype(alphabet_size))
+    n = len(seq)
+    a = alphabet_size
+    trans = [list(range(1, a + 1))] + [[0] * a for _ in range(a)]  # rows as in PrefixVocabulary
+    units = _symbol_keys(a)
+    pos = 0
+    while pos < n and len(units) < budget:
+        node, j = 0, pos
+        while j < n and trans[node][data[j]]:
+            node = trans[node][data[j]]
+            j += 1
+        if j < n:
+            trans[node][data[j]] = len(trans)
+            trans.append([0] * a)
+            units.append(keys[pos : j + 1].tobytes())
+        pos = j  # single symbols always match, so j > pos
+    return units
+
+
+def train_vocabularies(seq, alphabet: Alphabet, requests) -> list[PrefixVocabulary]:
+    """One vocabulary per (method, size) request, in request order: the
+    prefix closure of the first `size` units that `method` ("bpe" or
+    "lzw") learns from the symbols `seq`.
+
+    Both methods only ever append units, and a larger size only runs the
+    same loop longer, so each method trains once, at its largest requested
+    size, and every smaller size takes a prefix of that unit list.  A size
+    equal to the alphabet size is the identity vocabulary and trains
+    nothing; a size below it is a ParameterError.
+    """
+    seq = alphabet.encode(seq)
+    learners = {"bpe": bpe_units, "lzw": lzw_units}
+    largest: dict[str, int] = {}
+    for method, size in requests:
+        if method not in learners:
+            raise ParameterError(f"unknown tokenizer method {method!r}")
+        if size < alphabet.size:
+            raise ParameterError(
+                f"{method} size {size} is below the alphabet size {alphabet.size}")
+        largest[method] = max(size, largest.get(method, size))
+    units = {}
+    for method, size in largest.items():
+        if method == "bpe" and size > alphabet.size and len(seq) < 2:
+            raise DataError("corpus must contain at least 2 symbols")
+        units[method] = learners[method](seq, size, alphabet.size) if size > alphabet.size else []
+    return [PrefixVocabulary(alphabet, units[method][:size]) for method, size in requests]
+
+
 def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> PrefixVocabulary:
     """Grow a vocabulary by merging the most frequent adjacent unit pair
     until the unit inventory (single symbols plus merged strings) reaches
@@ -352,40 +414,18 @@ def train_bpe(corpus, target_size: int, alphabet: Alphabet | None = None) -> Pre
     current unit sequence (floor(m/2) in a run of m equal units); ties
     break on the lexicographically smallest (left, right) pair of unit
     strings in symbol-index order; prefix-closure strings added at the
-    end do not count against target_size.  `bpe_units` gives the merge
-    order.
+    end do not count against target_size.  A target_size equal to the
+    alphabet size gives the single symbols and trains nothing; one below
+    it is a ParameterError.  `bpe_units` gives the merge order, and the
+    vocabulary of a smaller target_size is closed over a prefix of it
+    (`train_vocabularies`).
     """
     alphabet, seq = encode_corpus(corpus, alphabet)
-    if target_size < alphabet.size:
-        raise ParameterError("target_size must be at least the alphabet size")
-    if len(seq) < 2:
-        raise DataError("corpus must contain at least 2 symbols")
-    return PrefixVocabulary(alphabet, bpe_units(seq, target_size, alphabet.size))
+    return train_vocabularies(seq, alphabet, [("bpe", target_size)])[0]
 
 
 def train_lzw(corpus, budget: int, alphabet: Alphabet | None = None) -> PrefixVocabulary:
-    """Standard LZW dictionary growth up to `budget` total entries.
-
-    Each scan step finds the longest dictionary match, inserts the match
-    extended by the next symbol, and resumes at that symbol.
-    """
+    """Standard LZW dictionary growth up to `budget` total entries
+    (`lzw_units`); the size rule is `train_bpe`'s."""
     alphabet, seq = encode_corpus(corpus, alphabet)
-    if budget < alphabet.size:
-        raise ParameterError("budget must be at least the alphabet size")
-    data = memoryview(seq)
-    n = len(seq)
-    a = alphabet.size
-    trans = [list(range(1, a + 1))] + [[0] * a for _ in range(a)]  # rows as in PrefixVocabulary
-    strings = []
-    pos = 0
-    while pos < n and len(trans) <= budget:
-        node, j = 0, pos
-        while j < n and trans[node][data[j]]:
-            node = trans[node][data[j]]
-            j += 1
-        if j < n:
-            trans[node][data[j]] = len(trans)
-            trans.append([0] * a)
-            strings.append(seq[pos : j + 1])
-        pos = j  # single symbols always match, so j > pos
-    return PrefixVocabulary(alphabet, strings)
+    return train_vocabularies(seq, alphabet, [("lzw", budget)])[0]

@@ -323,3 +323,22 @@ def oracle_bpe_units(seq, target_size: int, alphabet_size: int) -> list[tuple]:
         ids = ids[keep]
 
     return unit_str
+
+
+def oracle_lzw_units(seq, budget: int, alphabet_size: int) -> list[tuple]:
+    """LZW dictionary in insertion order, longest matches found by slicing
+    against a set: the single symbols, then each scan step's longest match
+    extended by the next symbol, until `budget` units or the end of seq."""
+    seq = [int(s) for s in seq]
+    units = [(i,) for i in range(alphabet_size)]
+    known = set(units)
+    pos = 0
+    while pos < len(seq) and len(units) < budget:
+        end = pos + 1  # single symbols always match
+        while end < len(seq) and tuple(seq[pos : end + 1]) in known:
+            end += 1
+        if end < len(seq):
+            units.append(tuple(seq[pos : end + 1]))
+            known.add(units[-1])
+        pos = end
+    return units

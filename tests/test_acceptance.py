@@ -132,7 +132,7 @@ def test_criterion_5_transfer_reaches_entropy_rate(kernel12):
     seq = r.sample_sequence(kernel12, 10**6, 42)
     vocab = r.train_lzw(seq[:500_000], 1024, kernel12.alphabet)
     stream = r.greedy_parse(vocab, seq)
-    ws = r.worst_case_span(vocab, 4, "empirical", stream)
+    ws = r.worst_case_span(vocab, 4, stream)
     q = r.optimal_predictor(kernel12, 12).smoothed(1e-6)
     tp = r.TransferredPredictor(q, vocab, 4)
     loss = tp.token_log_losses(stream, gate=12).per_source_symbol()

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import recoding as r
 import recoding.cli as cli
+import recoding.tokenizer as tokenizer
 from recoding.cli import main
 
 
@@ -183,6 +184,15 @@ class TestAllOrNothing:
     """A run that fails part-way exits with its documented code and writes
     no artifact, not even those of the pairs that succeeded."""
 
+    def test_gen_source(self, runner, tmp_path):
+        # raw sequence files hold one byte per symbol
+        result = runner.invoke(main, [
+            "gen-source", "--alphabet-size", "300", "--order", "0", "--n", "10",
+            "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "at most 256 symbols" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_tok_train(self, runner, tmp_path):
         # size 2 is the alphabet; size 4 cannot train on a 1-symbol prefix
         result = runner.invoke(main, [
@@ -218,6 +228,72 @@ class TestAllOrNothing:
         assert result.exit_code == 2
         assert "4-token windows" in result.output
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOneTrainingPerSequence:
+    """Every vocabulary of a run comes from one training per method and
+    seed, sliced to each size; a size below the alphabet size is a
+    configuration error in every command."""
+
+    @staticmethod
+    def count_trainings(monkeypatch, learner):
+        sizes = []
+        train = getattr(tokenizer, learner)
+
+        def counted(seq, size, alphabet_size):
+            sizes.append(size)
+            return train(seq, size, alphabet_size)
+
+        monkeypatch.setattr(tokenizer, learner, counted)
+        return sizes
+
+    def test_tok_train(self, runner, tmp_path, monkeypatch):
+        trained = self.count_trainings(monkeypatch, "bpe_units")
+        result = runner.invoke(main, [
+            "tok-train", "--order", "3", "--n", "20000", "--train-prefix", "10000",
+            "--sizes", "4,8,16", "--seed", "0", "--seed", "1", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert trained == [16, 16]
+        for seed in (0, 1):
+            kernel = r.sample_kernel(2, 3, 0.4, seed)
+            seq = r.sample_sequence(kernel, 20_000, seed)[:10_000]
+            for v in (4, 8, 16):
+                vocab = r.PrefixVocabulary.load(tmp_path / f"vocab_seed{seed}_V{v}.json")
+                assert vocab.entries == r.train_bpe(seq, v, kernel.alphabet).entries
+
+    def test_heavy_hitting(self, runner, tmp_path, monkeypatch):
+        trained = self.count_trainings(monkeypatch, "lzw_units")
+        result = runner.invoke(main, [
+            "heavy-hitting", "--n", "20000", "--budgets", "16,64,256",
+            "--seed", "0", "--seed", "1", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert trained == [256, 256]
+
+    @pytest.mark.parametrize("argv", [
+        ["tok-train", "--sizes", "2,6"],
+        ["span-cdf", "--sizes", "6,2"],
+        ["transfer-check", "--tokenizer", "identity", "--tokenizer", "bpe:2"],
+        ["heavy-hitting", "--budgets", "2,64"],
+    ], ids=lambda argv: argv[0])
+    def test_size_below_alphabet_exit_2(self, runner, tmp_path, argv):
+        result = runner.invoke(main, argv + [
+            "--alphabet-size", "4", "--order", "1", "--n", "1000",
+            "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "size 2 is below the alphabet size 4" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_alphabet_size_is_the_identity(self, runner, tmp_path, monkeypatch):
+        trained = self.count_trainings(monkeypatch, "bpe_units")
+        result = runner.invoke(main, [
+            "tok-train", "--order", "1", "--n", "1000", "--sizes", "2",
+            "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert trained == []
+        vocab = r.PrefixVocabulary.load(tmp_path / "vocab_seed0_V2.json")
+        assert vocab.entries == ((0,), (1,))
+        _, rows, _ = read_csv(tmp_path / "ratios.csv")
+        assert rows == [["0", "2", "2", "1000", "1"]]
 
 
 class TestHeavyHitting:

@@ -72,32 +72,32 @@ class TestSpanDistribution:
 
 
 class TestWorstCaseSpan:
+    """The empirical worst case against w times the shortest entry, the
+    minimum over all w-tuples of entries, which ignores whether a tuple
+    can occur in a greedy parse."""
+
     def test_identity_vocab(self, binary):
         vocab = r.PrefixVocabulary(binary, [])
-        assert r.worst_case_span(vocab, 7, "exhaustive") == 7
+        seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 1), 500, 2)
+        assert r.worst_case_span(vocab, 7, r.greedy_parse(vocab, seq)) == 7
 
     def test_reference_empirical(self, fig_vocab, parsed_stream):
-        assert r.worst_case_span(fig_vocab, 2, "empirical", parsed_stream) == 2
+        assert r.worst_case_span(fig_vocab, 2, parsed_stream) == 2
 
     def test_reference_exhaustive(self, fig_vocab):
-        assert r.worst_case_span(fig_vocab, 2, "exhaustive") == 2
+        assert 2 * fig_vocab.lengths.min() == 2
 
     def test_exhaustive_matches_tuple_enumeration(self, fig_vocab):
         best = min(
             sum(len(e) for e in combo)
             for combo in itertools.product(fig_vocab.entries, repeat=2)
         )
-        assert r.worst_case_span(fig_vocab, 2, "exhaustive") == best
+        assert 2 * fig_vocab.lengths.min() == best
 
     def test_exhaustive_lower_bounds_empirical(self, lzw_setup):
         _, vocab, stream = lzw_setup
         for w in (1, 2, 4):
-            assert r.worst_case_span(vocab, w, "exhaustive") <= r.worst_case_span(
-                vocab, w, "empirical", stream)
-
-    def test_empirical_needs_stream(self, fig_vocab):
-        with pytest.raises(r.ParameterError):
-            r.worst_case_span(fig_vocab, 2, "empirical")
+            assert w * vocab.lengths.min() <= r.worst_case_span(vocab, w, stream)
 
 
 class TestTypicalEpsilon:
@@ -110,7 +110,7 @@ class TestTypicalEpsilon:
 
     def test_zero_at_worst_case(self, lzw_setup):
         _, vocab, stream = lzw_setup
-        ws = r.worst_case_span(vocab, 4, "empirical", stream)
+        ws = r.worst_case_span(vocab, 4, stream)
         assert r.slack_curve(vocab, stream, 4, [ws]) == [(ws, 0.0, 0.0)]
 
     def test_cdf_shape(self, lzw_setup):
@@ -145,7 +145,7 @@ class TestCompressionStats:
 class TestSlackCurve:
     def test_zero_below_worst_case(self, lzw_setup):
         _, vocab, stream = lzw_setup
-        ws_min = r.worst_case_span(vocab, 4, "empirical", stream)
+        ws_min = r.worst_case_span(vocab, 4, stream)
         curve = r.slack_curve(vocab, stream, 4, range(1, ws_min + 1))
         assert all(slack == 0.0 for _, _, slack in curve)
 

@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
-from oracles import oracle_bpe_units, oracle_greedy_parse
+from oracles import oracle_bpe_units, oracle_greedy_parse, oracle_lzw_units
 from recoding.demo_text import synthesize_corpus
 from recoding.rng import generator
-from recoding.tokenizer import bpe_units, key_dtype
+from recoding.tokenizer import bpe_units, key_dtype, lzw_units, train_vocabularies
 
 
-def unit_tuples(seq, target_size, alphabet_size):
-    """`bpe_units` with each unit as a tuple of symbol indices."""
+def unit_tuples(seq, target_size, alphabet_size, learn=bpe_units):
+    """`bpe_units` (or `learn`) with each unit as a tuple of symbol indices."""
     dt = key_dtype(alphabet_size)
     return [tuple(np.frombuffer(u, dt).tolist())
-            for u in bpe_units(seq, target_size, alphabet_size)]
+            for u in learn(seq, target_size, alphabet_size)]
 
 
 def oracle_ids(vocab, seq):
@@ -378,6 +378,65 @@ class TestTrainLzw:
             for j in range(1, len(e)):
                 assert e[:j] in entries
 
+
+
+@st.composite
+def training_runs(draw):
+    """An alphabet of 1-300 symbols, a sequence over a few of its symbols
+    (all equal in about half the draws) and sizes from |A| up, |A| among
+    them."""
+    a = draw(st.integers(1, 300))
+    used = draw(st.lists(st.integers(0, a - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        used = used[:1]
+    seq = np.array(draw(st.lists(st.sampled_from(used), min_size=2, max_size=300)),
+                   dtype=np.int32)
+    sizes = draw(st.permutations(draw(st.lists(st.integers(a, a + 80), max_size=4)) + [a]))
+    return r.Alphabet.of_size(a), seq, sizes
+
+
+class TestPrefixProperty:
+    """Every size's units are a prefix of one training at the largest size,
+    so `train_vocabularies` slices one training per method: the slices
+    against separate oracle trainings, and the sliced vocabularies against
+    `train_bpe`/`train_lzw` at each size."""
+
+    @staticmethod
+    def check(method, oracle, train_one, alphabet, seq, sizes):
+        a = alphabet.size
+        units = unit_tuples(seq, max(sizes), a, {"bpe": bpe_units, "lzw": lzw_units}[method])
+        for size in sizes:
+            assert units[:size] == oracle(seq, size, a)
+        vocabs = train_vocabularies(seq, alphabet, [(method, size) for size in sizes])
+        for size, vocab in zip(sizes, vocabs):
+            assert vocab.entries == train_one(seq, size, alphabet).entries
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs())
+    def test_bpe(self, run):
+        self.check("bpe", oracle_bpe_units, r.train_bpe, *run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs())
+    def test_lzw(self, run):
+        self.check("lzw", oracle_lzw_units, r.train_lzw, *run)
+
+    def test_one_training_serves_both_methods_in_request_order(self):
+        seq = r.sample_sequence(r.sample_kernel(2, 3, 0.5, 4), 20_000, 4)
+        requests = [("lzw", 64), ("bpe", 8), ("bpe", 2), ("lzw", 16), ("bpe", 20)]
+        vocabs = train_vocabularies(seq, r.Alphabet.of_size(2), requests)
+        for (method, size), vocab in zip(requests, vocabs):
+            train_one = r.train_bpe if method == "bpe" else r.train_lzw
+            assert vocab.entries == train_one(seq, size, r.Alphabet.of_size(2)).entries
+
+    @pytest.mark.parametrize("method", ["bpe", "lzw"])
+    def test_size_below_alphabet_names_both(self, method):
+        with pytest.raises(r.ParameterError, match="size 3 is below the alphabet size 4"):
+            train_vocabularies([0, 1, 2, 3], r.Alphabet.of_size(4), [(method, 8), (method, 3)])
+
+    def test_alphabet_size_trains_nothing(self, binary):
+        (vocab,) = train_vocabularies([1], binary, [("bpe", 2)])
+        assert vocab.entries == ((0,), (1,))
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))

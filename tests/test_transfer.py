@@ -268,7 +268,7 @@ class TestPerSourceSymbolLoss:
         seq = r.sample_sequence(k, 10**6, 42)
         vocab = r.train_lzw(seq[:500_000], 1024, k.alphabet)
         stream = r.greedy_parse(vocab, seq)
-        ws = r.worst_case_span(vocab, 4, "empirical", stream)
+        ws = r.worst_case_span(vocab, 4, stream)
         assert ws >= 12
         q = r.optimal_predictor(k, 12).smoothed(1e-6)
         tp = r.TransferredPredictor(q, vocab, 4)
