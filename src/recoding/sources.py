@@ -25,20 +25,21 @@ from .errors import (
     FormatError,
     ParameterError,
 )
+from .lockstep import run_states
 from .rng import KERNEL_STREAM, SEQUENCE_STREAM, generator
 
 # Exact-enumeration budget, in table entries, shared by every operation
 # that materializes a joint law.
 DEFAULT_TABLE_BUDGET = 10**8
 
-# Power iteration for the stationary law: its invariance tolerance and the
-# step cap after which it falls back to a direct solve.
+# Power iteration for the stationary law: its invariance tolerance, the
+# step cap after which it falls back to a direct solve, and the window over
+# which its residual's recent decay rate is measured.
 _STATIONARY_TOL = 1e-12
 _POWER_STEPS = 4096
+_DECAY_WINDOW = 256
 
 _LABEL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-_SAMPLE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,7 @@ class StationaryLaw:
 
     kernel: TransitionKernel
     pi: np.ndarray
+    solved: bool  # pi came from the direct solve, not from power iteration
 
 
 def sample_kernel(
@@ -296,7 +298,11 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     spectral gap (seen in practice for high-order, low-concentration
     Dirichlet kernels) cannot reach the tolerance by iteration alone; those
     fall back to solving pi (P - I) = 0 directly, and the result is still
-    checked against the invariance tolerance.
+    checked against the invariance tolerance.  The fallback comes as soon
+    as the residual, decaying at its rate over the last 256 steps, would
+    still be 100 times the tolerance at the cap: the decay tends only to
+    slow as the slowest mode takes over, so such a chain would reach the
+    cap.
     """
     if kernel._stationary is not None:
         return kernel._stationary
@@ -304,14 +310,20 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     states = kernel.context_count
     pi = np.full(states, 1.0 / states)
     prev_residual = math.inf
+    logs = []  # log residual per step
     converged = False
-    for _ in range(_POWER_STEPS):
+    for step in range(_POWER_STEPS):
         stepped = _context_step(kernel, pi)
         residual = 0.5 * np.abs(stepped - pi).sum()
         if residual < 1e-15 or (residual >= prev_residual and residual < _STATIONARY_TOL):
             converged = True
             break
         prev_residual = residual
+        logs.append(math.log(residual))
+        if step >= _DECAY_WINDOW:
+            rate = (logs[-1] - logs[-1 - _DECAY_WINDOW]) / _DECAY_WINDOW
+            if logs[-1] + rate * (_POWER_STEPS - 1 - step) > math.log(100 * _STATIONARY_TOL):
+                break
         pi = 0.5 * (pi + stepped)
     if not converged:
         pi = _solve_stationary(kernel)
@@ -323,7 +335,7 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     pi.flags.writeable = False
-    law = StationaryLaw(kernel, pi)
+    law = StationaryLaw(kernel, pi, not converged)
     kernel._stationary = law
     return law
 
@@ -331,8 +343,15 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
 def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     """Sample n symbols, starting from a stationary initial context.
 
-    The generator consumes one uniform per emitted symbol (plus one for
-    the initial context), so the output does not depend on chunk sizes.
+    The sequence stream of `seed` supplies one uniform for the initial
+    context and then one per symbol, in order, and each symbol is the
+    first y with u < P(0|c) + ... + P(y|c) for the current context c.  The
+    output is a function of (kernel, n, seed) alone: it does not depend on
+    how the uniforms are drawn in blocks or how the run is cut into chunks
+    (`lockstep.run_states`).  Speculative chunks start from the two most
+    probable contexts and meet the true run where two chains that share
+    uniforms couple; slowly mixing chains can linger near the most
+    probable context, and the second start covers the rest of the time.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -351,24 +370,41 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     if k == 0:
         return np.searchsorted(cum[0], rng.random(n), side="right").astype(np.int32)
 
-    out = np.empty(n, dtype=np.int32)
-    rows = cum.tolist()
     states = a**k
-    pos = 0
-    while pos < n:
-        block = min(_SAMPLE_CHUNK, n - pos)
-        us = rng.random(block).tolist()
-        buf = []
-        append = buf.append
-        for u in us:
+    rows = cum.tolist()
+    # a context's successor on symbol 0; symbol y adds y, the number of
+    # cumulative probabilities at or below u other than the last
+    shifted = np.arange(states) % (states // a) * a
+    bounds = [np.ascontiguousarray(col) for col in cum.T[:-1]]
+
+    def advance(ctx: np.ndarray, us: np.ndarray) -> np.ndarray:
+        nxt = shifted[ctx]
+        for bound in bounds:
+            nxt += bound[ctx] <= us
+        return nxt
+
+    def run(ctx: int, us: np.ndarray) -> list[int]:
+        out = []
+        append = out.append
+        for u in us.tolist():
             row = rows[ctx]
             y = 0
             while u >= row[y]:
                 y += 1
-            append(y)
             ctx = (ctx * a + y) % states
-        out[pos : pos + block] = buf
-        pos += block
+            append(ctx)
+        return out
+
+    def draw(pos: int, size: int) -> np.ndarray:
+        return rng.random(size)  # the stream is read in order
+
+    out = np.empty(n, dtype=np.int32)
+    pos = 0
+    guesses = tuple(np.argsort(-law.pi, kind="stable")[:2].tolist())
+    # chains that share uniforms take longer to couple the more contexts there are
+    for block in run_states(n, draw, ctx, advance, run, guesses, 4 * states):
+        np.remainder(block, a, out=out[pos : pos + len(block)], casting="unsafe")
+        pos += len(block)
     return out
 
 
@@ -446,10 +482,13 @@ def write_sequence(path, seq: np.ndarray, alphabet: Alphabet) -> None:
 
 
 def read_sequence(path) -> tuple[np.ndarray, Alphabet]:
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    alphabet = Alphabet(tuple(sidecar["alphabet"]))
+    """The symbol indices and alphabet that `write_sequence` stored;
+    FormatError when the sidecar is not such JSON or does not match."""
+    labels, length = json_fields(read_json(str(path) + ".json"), "sequence sidecar",
+                                 "alphabet", "length")
+    alphabet = json_alphabet(labels, "sequence sidecar")
     raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
-    if raw.size != sidecar["length"]:
+    if raw.size != length:
         raise FormatError("sequence file length does not match sidecar")
     seq = raw.astype(np.int32)
     if seq.size and seq.max() >= alphabet.size:

@@ -4,7 +4,9 @@ vocabulary learning (adjacent-pair merging and LZW dictionary growth).
 Every nonempty prefix of an entry is itself an entry and all single
 symbols are entries, so every trie node below the root names a token and
 greedy parsing never needs to backtrack: walk as deep as the input
-allows and emit the node reached.
+allows and emit the node reached.  The parse is thus a finite-state run
+over trie nodes, one step per symbol, and a token ends just before each
+position whose node has depth 1; `lockstep.run_states` runs it in chunks.
 
 A vocabulary is one array trie: a (nodes, A) int32 transition table
 (row v: node v's child per symbol, 0 for none; node 0 is the root) and
@@ -27,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
+from .lockstep import run_states
 from .sources import Alphabet, encode_corpus, json_alphabet, json_fields, read_json
 
 
@@ -165,24 +168,50 @@ class TokenSequence:
 
 
 def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
-    """Left-to-right longest match; expanding the result recovers the input."""
+    """Left-to-right longest match; expanding the result recovers the input.
+
+    From node v, symbol s leads to v's child for s, or else to the root's
+    child for s.  A child lies one level deeper than its parent, so a
+    node of depth 1 means a restart: the node before it ends a token, and
+    the last node ends the last token.
+    """
     seq = vocab.alphabet.encode(y_sequence)
-    trans = vocab.trans.tolist()
-    root = row = trans[0]
-    node = 0
-    out = []  # the node at which each token ends
-    append = out.append
-    for sym in memoryview(seq):
-        nxt = row[sym]
-        if nxt:
-            node = nxt
-        else:  # the token ends before sym
-            append(node)
-            node = root[sym]
-        row = trans[node]
+    a = vocab.alphabet.size
+    # node v is the state v * a, so a step is one lookup at state + symbol
+    step = np.where(vocab.trans > 0, vocab.trans, vocab.trans[0]).astype(np.int64) * a
+    flat = step.ravel()
+    table = flat.tolist()
+
+    def advance(states: np.ndarray, syms: np.ndarray) -> np.ndarray:
+        return flat[states + syms]
+
+    def run(state: int, syms: np.ndarray) -> list[int]:
+        out = []
+        append = out.append
+        for sym in syms.tolist():
+            state = table[state + sym]
+            append(state)
+        return out
+
+    def read(pos: int, size: int) -> np.ndarray:
+        return seq[pos : pos + size]
+
+    restart = np.zeros(flat.size, dtype=bool)
+    restart[::a] = vocab.depth == 1
+    ids = [np.zeros(0, dtype=np.int32)]  # per block, the ids of the tokens ending in it
+    prev = 0  # the state before the block; the root before the first
+    # parses started at arbitrary offsets mostly rejoin the true parse
+    # within a few symbols
+    for states in run_states(len(seq), read, 0, advance, run, (0,), 1):
+        at = np.flatnonzero(restart[states])
+        ended = states[at - 1]
+        if at.size and at[0] == 0:
+            ended[0] = prev
+        ids.append(((ended if prev else ended[1:]) // a - 1).astype(np.int32))
+        prev = int(states[-1])
     if len(seq):
-        append(node)
-    return TokenSequence(vocab, np.array(out, dtype=np.int32) - 1)
+        ids.append(np.array([prev // a - 1], dtype=np.int32))
+    return TokenSequence(vocab, np.concatenate(ids))
 
 
 def expand(vocab: PrefixVocabulary, tokens) -> np.ndarray:

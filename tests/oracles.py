@@ -5,7 +5,9 @@ dict/loop code and no shared tables with the package internals: joint
 laws by explicit tuple enumeration, the stationary law by a dense linear
 solve, conditional informations from their definitional sums, greedy
 parsing by string slicing against a set.  Tests compare package outputs
-against these.
+against these.  The sequential sampling and parsing loops and the capped
+power iteration for the stationary law are the package's own earlier
+code, kept here as the references for its faster replacements.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import itertools
 import math
 
 import numpy as np
+
+from recoding.rng import SEQUENCE_STREAM, generator
+from recoding.sources import (_check_irreducible, _context_step, _solve_stationary,
+                              stationary_law)
 
 
 def oracle_stationary(kernel) -> dict[tuple, float]:
@@ -342,3 +348,85 @@ def oracle_lzw_units(seq, budget: int, alphabet_size: int) -> list[tuple]:
             known.add(units[-1])
         pos = end
     return units
+
+
+def oracle_capped_stationary(kernel) -> tuple[bool, np.ndarray]:
+    """(whether the direct solve gave pi, pi) by power iteration on the
+    half-lazy chain for up to 4096 steps, then the sparse solve."""
+    _check_irreducible(kernel)
+    states = kernel.context_count
+    pi = np.full(states, 1.0 / states)
+    prev_residual = math.inf
+    converged = False
+    for _ in range(4096):
+        stepped = _context_step(kernel, pi)
+        residual = 0.5 * np.abs(stepped - pi).sum()
+        if residual < 1e-15 or (residual >= prev_residual and residual < 1e-12):
+            converged = True
+            break
+        prev_residual = residual
+        pi = 0.5 * (pi + stepped)
+    if not converged:
+        pi = _solve_stationary(kernel)
+    pi = np.maximum(pi, 0.0)
+    return not converged, pi / pi.sum()
+
+
+def oracle_sample_loop(kernel, n: int, seed: int) -> np.ndarray:
+    """`sample_sequence` one symbol at a time, uniforms drawn in blocks of
+    2^17."""
+    law = stationary_law(kernel)
+    rng = generator(seed, SEQUENCE_STREAM)
+    a = kernel.alphabet_size
+    k = kernel.order
+
+    pi_cum = np.cumsum(law.pi)
+    pi_cum[-1] = 1.0
+    ctx = int(np.searchsorted(pi_cum, rng.random(), side="right"))
+
+    cum = np.cumsum(kernel.probs, axis=1)
+    cum[:, -1] = 1.0
+
+    if k == 0:
+        return np.searchsorted(cum[0], rng.random(n), side="right").astype(np.int32)
+
+    out = np.empty(n, dtype=np.int32)
+    rows = cum.tolist()
+    states = a**k
+    pos = 0
+    while pos < n:
+        block = min(1 << 17, n - pos)
+        us = rng.random(block).tolist()
+        buf = []
+        append = buf.append
+        for u in us:
+            row = rows[ctx]
+            y = 0
+            while u >= row[y]:
+                y += 1
+            append(y)
+            ctx = (ctx * a + y) % states
+        out[pos : pos + block] = buf
+        pos += block
+    return out
+
+
+def oracle_parse_loop(vocab, y_sequence) -> np.ndarray:
+    """`greedy_parse` ids by one walk down the trie table per symbol."""
+    seq = vocab.alphabet.encode(y_sequence)
+    trans = vocab.trans.tolist()
+    root = row = trans[0]
+    node = 0
+    out = []  # the node at which each token ends
+    append = out.append
+    for sym in memoryview(seq):
+        nxt = row[sym]
+        if nxt:
+            node = nxt
+        else:  # the token ends before sym
+            append(node)
+            node = root[sym]
+        row = trans[node]
+    if len(seq):
+        append(node)
+    return np.array(out, dtype=np.int32) - 1

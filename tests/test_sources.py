@@ -239,6 +239,15 @@ class TestKernelIO:
         assert np.array_equal(back, seq)
         assert alphabet.symbols == hand_kernel.alphabet.symbols
 
+    @pytest.mark.parametrize("sidecar", ["not json {", '{"alphabet": ["0", "1"]}',
+                                         '{"alphabet": "01", "length": 3}'])
+    def test_bad_sequence_sidecar(self, tmp_path, hand_kernel, sidecar):
+        path = tmp_path / "seq.bin"
+        r.write_sequence(path, r.sample_sequence(hand_kernel, 3, 0), hand_kernel.alphabet)
+        (tmp_path / "seq.bin.json").write_text(sidecar)
+        with pytest.raises(r.FormatError):
+            r.read_sequence(path)
+
     def test_bad_rows_rejected(self, binary):
         with pytest.raises(r.FormatError):
             r.TransitionKernel(binary, 1, np.array([[0.6, 0.6], [0.4, 0.6]]))
