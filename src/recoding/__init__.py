@@ -39,14 +39,11 @@ from .sources import (
 from .fragmentation import (
     DecompositionReport,
     FragmentationMap,
-    context_deficit,
     decompose,
     defragment,
     empirical_fragmented_loss,
-    exact_fragmented_loss,
     fragment,
     make_map,
-    phase_ambiguity,
 )
 from .ngram import (ContextPredictor, fit, in_sample_log_loss, log_loss, log_loss_total,
                     optimal_predictor)

@@ -93,14 +93,16 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def hash(self) -> str:
+        """Digest of the parameters, each input file by its content rather
+        than by its path, so copies of the same inputs hash alike."""
         payload = {
             "experiment": self.experiment,
             "seeds": self.seeds,
             "source": self.source,
             "fragmentation": self.fragmentation,
-            "tokenizer": self.tokenizer,
+            "tokenizer": _by_content(self.tokenizer),
             "windows": self.windows,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
+            "params": {k: str(_by_content(v)) for k, v in sorted(self.params.items())},
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -133,8 +135,25 @@ def _text(v):
     return _check(isinstance(v, str), v, "a string")
 
 
+class _InputFile(str):
+    """A path `_file` accepted: `ExperimentConfig.hash` covers the file's
+    bytes in its place."""
+
+
+def _by_content(v):
+    """v with each `_InputFile` in it, or in its lists and dict values,
+    replaced by the sha256 of the file's bytes."""
+    if isinstance(v, _InputFile):
+        return hashlib.sha256(Path(v).read_bytes()).hexdigest()
+    if isinstance(v, list):
+        return [_by_content(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _by_content(x) for k, x in v.items()}
+    return v
+
+
 def _file(v):
-    return _check(isinstance(v, str) and Path(v).is_file(), v, "an existing file")
+    return _InputFile(_check(isinstance(v, str) and Path(v).is_file(), v, "an existing file"))
 
 
 def _pair(v):
@@ -273,6 +292,14 @@ def _write_json(path: Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
+def _train(flag: str, seq, alphabet: Alphabet, requests) -> list[PrefixVocabulary]:
+    """`train_vocabularies`, whose size errors name the flag of the sizes."""
+    try:
+        return train_vocabularies(seq, alphabet, requests)
+    except ParameterError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
+
+
 def _command(fn):
     """Run a command body on its settings; exit with the code of this
     package's errors."""
@@ -362,7 +389,7 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
                 report = decompose(kernel, fmap, w)
                 emp_frag = empirical_fragmented_loss(fmap, seq, w, l_alpha)
                 emp_src = in_sample_log_loss(seq, w, l_alpha, kernel.alphabet)
-                rows.append([order, block, seed, *report.csv_row(),
+                rows.append([order, block, seed, *report.to_json().values(),
                              emp_frag, emp_src, emp_frag - report.source_loss])
                 reports.append({
                     "order": order, "block_length": block, "seed": seed,
@@ -405,7 +432,7 @@ def run_tok_train(config: ExperimentConfig) -> None:
     for seed in config.seeds:
         kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
         seq = sample_sequence(kernel, src["n"], seed)
-        vocabs = train_vocabularies(seq[:prefix], kernel.alphabet, [("bpe", v) for v in sizes])
+        vocabs = _train("--sizes", seq[:prefix], kernel.alphabet, [("bpe", v) for v in sizes])
         for v, vocab in zip(sizes, vocabs):
             written.append((config.output_dir / f"vocab_seed{seed}_V{v}.json", vocab))
             stream = greedy_parse(vocab, seq)
@@ -426,7 +453,9 @@ def run_tok_train(config: ExperimentConfig) -> None:
       help="analyze a text corpus instead of a synthetic source")
 @_source_keys(order=12, dirichlet_alpha=0.4, n=2_000_000)
 @_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints,
-      help=f"comma list of BPE vocabulary sizes to train; {_SIZE_RULE}")
+      help=f"comma list of BPE vocabulary sizes to train; {_SIZE_RULE}.  With --text "
+           "the alphabet is the corpus's distinct characters, so each size must be at "
+           "least their number; with --vocab nothing is trained")
 @_key("--vocab", "vocab_files", multiple=True, type=click.Path(), default=(), parse=_files,
       help="externally produced vocabulary JSON (repeatable)")
 @_key("--train-prefix", type=int, default=500_000, parse=_int)
@@ -478,7 +507,7 @@ def run_span_cdf(config: ExperimentConfig) -> None:
         seq = sample_sequence(kernel, src["n"], seed)
         label = f"markov_k{src['order']}"
 
-    vocabs = train_vocabularies(seq[:prefix], alphabet, [("bpe", v) for v in sizes])
+    vocabs = _train("--sizes", seq[:prefix], alphabet, [("bpe", v) for v in sizes])
     jobs = [(f"V{v}", vocab) for v, vocab in zip(sizes, vocabs)]
     for path in vocab_files:
         vocab = PrefixVocabulary.load(path)
@@ -492,10 +521,10 @@ def run_span_cdf(config: ExperimentConfig) -> None:
     for name, vocab in jobs:
         stream = greedy_parse(vocab, seq)
         for w in config.windows:
-            report = span_distribution(vocab, stream, w)
+            report = span_distribution(stream, w)
             spans = sorted(report.span_histogram)
             sweep = _ws_sweep(w, mult, spans[0], spans[-1])
-            curve = slack_curve(vocab, stream, w, sweep)
+            curve = slack_curve(stream, w, sweep)
             report.slack_curve = curve
             reports.append((config.output_dir / f"spans_{label}_{name}_w{w}.json", report))
             for ws, eps, slack in curve:
@@ -552,13 +581,14 @@ def run_transfer_check(config: ExperimentConfig) -> None:
         seq = sample_sequence(kernel, src["n"], seed)
         rate = entropy_rate(kernel)
         names, requests = zip(*(_tokenizer(spec, kernel.alphabet_size) for spec in specs))
-        for name, vocab in zip(names, train_vocabularies(seq[:prefix], kernel.alphabet, requests)):
+        vocabs = _train("--tokenizer", seq[:prefix], kernel.alphabet, requests)
+        for name, vocab in zip(names, vocabs):
             stream = greedy_parse(vocab, seq)
-            _, tok_rate = compression_stats(vocab, stream)
+            _, tok_rate = compression_stats(stream)
             for w in config.windows:
                 ws = config.params["ws"]
                 if ws is None:
-                    ws = worst_case_span(vocab, w, stream)
+                    ws = worst_case_span(stream, w)
                 q = optimal_predictor(kernel, ws).smoothed(eta)
                 target = conditional_entropy(kernel, ws)
                 # gated at ws = q.w, the typical predictor's losses are the
@@ -641,10 +671,10 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
         if delta <= 0:
             raise AssumptionViolationError("kernel is not strictly positive")
         seq = sample_sequence(kernel, src["n"], seed)
-        vocabs = train_vocabularies(seq, kernel.alphabet, [("lzw", d) for d in budgets])
+        vocabs = _train("--budgets", seq, kernel.alphabet, [("lzw", d) for d in budgets])
         for d, vocab in zip(budgets, vocabs):
             stream = greedy_parse(vocab, seq)
-            report = heavy_hitting_report(kernel, vocab, stream, beta, d, w)
+            report = heavy_hitting_report(kernel, stream, beta, d, w)
             payload = report.to_json()
             # end-to-end loss bound via the typical transferred predictor
             w_d = report.window_span_threshold

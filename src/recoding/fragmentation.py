@@ -22,10 +22,8 @@ entries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -49,38 +47,6 @@ class FragmentationMap:
     fragment_alphabet: Alphabet
     block_length: int
     codebook: np.ndarray  # (|Y|, M) fragment indices
-
-    def codeword(self, symbol: int | str) -> tuple[int, ...]:
-        if isinstance(symbol, str):
-            symbol = self.source_alphabet.index(symbol)
-        return tuple(int(x) for x in self.codebook[symbol])
-
-    def to_json(self) -> dict:
-        xa = self.fragment_alphabet
-        code = {}
-        for i, label in enumerate(self.source_alphabet.symbols):
-            code[label] = "".join(xa.symbols[j] for j in self.codebook[i])
-        return {
-            "source_alphabet": list(self.source_alphabet.symbols),
-            "fragment_alphabet": list(xa.symbols),
-            "M": self.block_length,
-            "code": code,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FragmentationMap":
-        ya = Alphabet(tuple(obj["source_alphabet"]))
-        xa = Alphabet(tuple(obj["fragment_alphabet"]))
-        m = int(obj["M"])
-        words = [obj["code"][label] for label in ya.symbols]
-        return make_map(ya, xa, m, words)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "FragmentationMap":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -106,16 +72,6 @@ class DecompositionReport:
             "phase_ambiguity_bits": self.phase_ambiguity,
             "gap_bits": self.gap,
         }
-
-    def csv_row(self) -> list:
-        return [
-            self.w,
-            self.source_loss,
-            self.fragmented_loss,
-            self.context_deficit,
-            self.phase_ambiguity,
-            self.gap,
-        ]
 
 
 def default_code(source_size: int, fragment_size: int, block_length: int) -> list[tuple[int, ...]]:
@@ -266,47 +222,28 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int):
     return own, full, pooled
 
 
-def _losses(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> tuple[float, float, float]:
-    """(fragmented loss, phase ambiguity, context deficit), bits per source
-    symbol, from one set of tables; each public function reads its term."""
+def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> DecompositionReport:
+    """Exact source loss, fragmented loss, and the two penalty terms, bits
+    per source symbol, from one set of phase tables.
+
+    The fragmented loss is M times the phase-pooled conditional entropy of
+    the target fragment.  Phase ambiguity, the bits lost because the window
+    hides the target's block position, is M * [H(target | pooled context)
+    - mean over phases of H(target | context)].  Context deficit, the
+    source history the misaligned window cuts off, is the summed
+    conditional information the missing prefix carries about each target
+    fragment; it is zero whenever w exceeds the Markov order.
+    """
     own, full, pooled = _phase_tables(kernel, fmap, w)
     h_own = [cond_entropy_bits(t) for t in own]
     frag_loss = fmap.block_length * cond_entropy_bits(pooled)
-    ambiguity = frag_loss - math.fsum(h_own)
-    deficit = math.fsum(h_own[t] - cond_entropy_bits(full[t]) for t in range(1, len(full)))
-    return frag_loss, ambiguity, deficit
-
-
-def exact_fragmented_loss(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
-    """Optimal fragmented loss with an Mw-fragment window, bits per source
-    symbol: M times the phase-pooled conditional entropy of the target
-    fragment."""
-    return _losses(kernel, fmap, w)[0]
-
-
-def phase_ambiguity(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
-    """Bits lost because the window hides the target's block position:
-    M * [H(target | pooled context) - mean over phases of H(target | context)]."""
-    return _losses(kernel, fmap, w)[1]
-
-
-def context_deficit(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> float:
-    """Bits of source history the misaligned window cuts off: the summed
-    conditional information the missing prefix carries about each target
-    fragment.  Zero whenever w exceeds the Markov order."""
-    return _losses(kernel, fmap, w)[2]
-
-
-def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> DecompositionReport:
-    """Exact source loss, fragmented loss, and the two penalty terms."""
-    frag_loss, ambiguity, deficit = _losses(kernel, fmap, w)
-    source_loss = conditional_entropy(kernel, w)
     return DecompositionReport(
         w=w,
-        source_loss=source_loss,
+        source_loss=conditional_entropy(kernel, w),
         fragmented_loss=frag_loss,
-        context_deficit=deficit,
-        phase_ambiguity=ambiguity,
+        context_deficit=math.fsum(h_own[t] - cond_entropy_bits(full[t])
+                                  for t in range(1, len(full))),
+        phase_ambiguity=frag_loss - math.fsum(h_own),
     )
 
 
@@ -317,7 +254,7 @@ def empirical_fragmented_loss(
 
     Scores an (Mw)-context model fitted on the fragmented sequence on
     that same sequence and scales the per-fragment loss by M, so the value
-    is comparable to `exact_fragmented_loss`.
+    is comparable to `decompose`'s fragmented loss.
     """
     x = fragment(fmap, y_sequence)
     m = fmap.block_length

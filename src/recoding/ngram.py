@@ -57,9 +57,6 @@ class ContextPredictor:
         self.table = table
         self.codes = codes
 
-    def row(self, code: int) -> np.ndarray:
-        return self.rows_for(np.array([code]))[0]
-
     def rows_for(self, codes: np.ndarray) -> np.ndarray:
         """Probability rows for an array of context codes, shape (len, A)."""
         codes = np.asarray(codes, dtype=np.int64)

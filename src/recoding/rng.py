@@ -16,10 +16,9 @@ import numpy as np
 KERNEL_STREAM = 0
 SEQUENCE_STREAM = 1
 TEXT_STREAM = 2
-GENERIC_STREAM = 3
 
 
-def generator(seed: int, stream: int = GENERIC_STREAM) -> np.random.Generator:
+def generator(seed: int, stream: int) -> np.random.Generator:
     """Return the PCG64 generator for (seed, stream)."""
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))

@@ -68,12 +68,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.symbols.index(label)
-        except ValueError:
-            raise AlphabetError(f"unknown symbol {label!r}") from None
-
     def encode(self, data) -> np.ndarray:
         """Coerce a string, label sequence, or index array to int32 indices."""
         if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
@@ -208,7 +202,6 @@ def json_alphabet(labels, what: str) -> Alphabet:
 class StationaryLaw:
     """Stationary distribution over length-k contexts."""
 
-    kernel: TransitionKernel
     pi: np.ndarray
     solved: bool  # pi came from the direct solve, not from power iteration
 
@@ -335,7 +328,7 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     pi.flags.writeable = False
-    law = StationaryLaw(kernel, pi, not converged)
+    law = StationaryLaw(pi, not converged)
     kernel._stationary = law
     return law
 

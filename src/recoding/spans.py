@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AssumptionViolationError, DataError, ParameterError
 from .sources import TransitionKernel, min_transition_prob
-from .tokenizer import PrefixVocabulary, TokenSequence, expand
+from .tokenizer import TokenSequence, expand
 
 
 def _window_spans(stream: TokenSequence, w: int) -> np.ndarray:
@@ -64,23 +64,24 @@ class SpanReport:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
 
 
-def compression_stats(vocab: PrefixVocabulary, stream: TokenSequence) -> tuple[float, float]:
+def compression_stats(stream: TokenSequence) -> tuple[float, float]:
     """(alpha, R): mean source symbols per token and the uniform-code rate
-    log2|Z| / (alpha * log2|Y|)."""
+    log2|Z| / (alpha * log2|Y|) of the stream's vocabulary."""
     if len(stream.ids) == 0:
         raise DataError("empty token stream")
+    vocab = stream.vocab
     alpha = float(vocab.lengths[stream.ids].mean())
     rate = math.log2(vocab.size) / (alpha * math.log2(vocab.alphabet.size))
     return alpha, rate
 
 
-def span_distribution(vocab: PrefixVocabulary, stream: TokenSequence, w: int) -> SpanReport:
+def span_distribution(stream: TokenSequence, w: int) -> SpanReport:
     """Empirical span histogram over sliding windows of w tokens."""
     spans = _window_spans(stream, w)
     values, counts = np.unique(spans, return_counts=True)
     total = counts.sum()
     hist = {int(v): float(c) / total for v, c in zip(values, counts)}
-    alpha, rate = compression_stats(vocab, stream)
+    alpha, rate = compression_stats(stream)
     return SpanReport(
         w=w,
         span_histogram=hist,
@@ -91,19 +92,17 @@ def span_distribution(vocab: PrefixVocabulary, stream: TokenSequence, w: int) ->
     )
 
 
-def worst_case_span(vocab: PrefixVocabulary, w: int, stream: TokenSequence) -> int:
+def worst_case_span(stream: TokenSequence, w: int) -> int:
     """Minimum source span of the w-token windows of a greedy parse, the
     first w tokens dropped."""
     return int(_window_spans(stream, w).min())
 
 
-def slack_curve(
-    vocab: PrefixVocabulary, stream: TokenSequence, w: int, w_s_values
-) -> list[tuple[int, float, float]]:
+def slack_curve(stream: TokenSequence, w: int, w_s_values) -> list[tuple[int, float, float]]:
     """Rows (w_s, epsilon, epsilon * R * log2|Y|) over a span target sweep."""
     spans = np.sort(_window_spans(stream, w))
-    _, rate = compression_stats(vocab, stream)
-    scale = rate * math.log2(vocab.alphabet.size)
+    _, rate = compression_stats(stream)
+    scale = rate * math.log2(stream.vocab.alphabet.size)
     out = []
     total = spans.size
     for ws in w_s_values:
@@ -170,31 +169,8 @@ class HeavyHitReport:
         return math.sqrt(self.window_fail_se**2 + 16 * self.miss_se**2)
 
     def to_json(self) -> dict:
-        out = {
-            "beta": self.beta,
-            "d": self.d,
-            "delta": self.delta,
-            "ell_d": self.ell_d,
-            "miss_prob": self.miss_prob,
-            "miss_se": self.miss_se,
-            "short_token_prob": self.short_token_prob,
-            "short_se": self.short_se,
-            "w": self.w,
-            "window_span_threshold": self.window_span_threshold,
-            "window_fail_prob": self.window_fail_prob,
-            "window_fail_se": self.window_fail_se,
-            "alpha": self.alpha,
-            "rate": self.rate,
-            "token_count": self.token_count,
-            "degenerate": self.degenerate,
-            "length_inclusion_holds": self.length_inclusion_holds,
-            "window_bound_ok": self.window_bound_ok,
-            "alpha_bound_ok": self.alpha_bound_ok,
-        }
-        return out
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
+        return {**asdict(self), "window_bound_ok": self.window_bound_ok,
+                "alpha_bound_ok": self.alpha_bound_ok}
 
 
 def _bernoulli_se(p: float, n: int) -> float:
@@ -202,12 +178,7 @@ def _bernoulli_se(p: float, n: int) -> float:
 
 
 def heavy_hitting_report(
-    kernel: TransitionKernel,
-    vocab: PrefixVocabulary,
-    stream: TokenSequence,
-    beta: float,
-    d: int,
-    w: int = 4,
+    kernel: TransitionKernel, stream: TokenSequence, beta: float, d: int, w: int
 ) -> HeavyHitReport:
     """Measure the token-length scale ell_d = beta*log2(d)/log2(1/delta)
     and the related tail probabilities over an emitted-token stream.
@@ -226,7 +197,8 @@ def heavy_hitting_report(
     ell_d = beta * math.log2(d) / math.log2(1.0 / delta)
     threshold = d ** (-beta)
 
-    alpha, rate = compression_stats(vocab, stream)  # DataError on an empty stream
+    alpha, rate = compression_stats(stream)  # DataError on an empty stream
+    vocab = stream.vocab
     ids = stream.ids
     m = len(ids)
     uniq, counts = np.unique(ids, return_counts=True)

@@ -113,19 +113,6 @@ class PrefixVocabulary:
         return tuple(tuple(flat[s : s + d])
                      for s, d in zip(self.start[1:].tolist(), self.lengths.tolist()))
 
-    def id_of(self, string) -> int:
-        node = 0
-        for sym in self.alphabet.encode(string).tolist():
-            node = int(self.trans[node, sym])
-            if not node:
-                break
-        if not node:
-            raise FormatError(f"{string!r} is not a vocabulary entry")
-        return node - 1
-
-    def entry_label(self, eid: int) -> str:
-        return self.alphabet.decode(expand(self, [eid]))
-
     @classmethod
     def from_json(cls, obj: dict) -> "PrefixVocabulary":
         labels, entries = json_fields(obj, "vocabulary", "alphabet", "entries")

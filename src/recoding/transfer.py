@@ -10,11 +10,11 @@ telescope, so the cumulative token loss tracks the cumulative source
 loss up to a constant bounded via the positivity floor of q.
 
 Evaluation needs only the last w_s source symbols of the expanded token
-window.  Windows that span fewer than w_s symbols cannot be evaluated;
-they fall back to the uniform distribution over tokens.  The span-gated
-`TypicalPredictor` applies the same fallback below any threshold at or
-above w_s; gated above every span it is the uniform token predictor,
-whose loss per source symbol is the uniform-code rate.
+window, so `TransferredPredictor` predicts uniformly over tokens on
+windows that span fewer than w_s symbols.  The typical predictor
+(`TypicalPredictor`) moves that gate to any span threshold at or above
+w_s; gated above every span it is the uniform token predictor, whose
+loss per source symbol is the uniform-code rate.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class TokenLossBreakdown:
     valid: np.ndarray
     stops: np.ndarray
     alpha: float
-    source_length: int
-    token_count: int
-    vocab_size: int
 
     def total(self) -> float:
         return float(self.losses.sum())
@@ -80,45 +77,8 @@ class TransferredPredictor:
         self.w = w
         self.lambda_q = floor
 
-    def token_log_losses(self, stream: TokenSequence, gate: int | None = None) -> TokenLossBreakdown:
-        if gate is None:
-            gate = self.q.w
-        if gate < self.q.w:
-            raise ParameterError("span gate cannot be below the predictor context length")
-        return _evaluate(self, stream, gate)
-
-    def next_token_distribution(self, context_ids) -> np.ndarray:
-        """Exact distribution over next tokens given a w-token context.
-
-        Positive only on tokens whose first symbol does not extend the
-        previous token; those probabilities sum to one.
-        """
-        ids = np.asarray(context_ids, dtype=np.int64)
-        if len(ids) != self.w:
-            raise ParameterError(f"context must contain exactly {self.w} tokens")
-        vocab, q = self.vocab, self.q
-        history = expand(vocab, ids)
-        if len(history) < q.w:
-            return np.full(vocab.size, 1.0 / vocab.size)
-        a = q.alphabet.size
-        # q-probability that each node's string follows the history, and the
-        # source context after it (the root's is the history's), level by level
-        prob = np.ones(vocab.size + 1)
-        code = np.full(vocab.size + 1, window_codes(history, q.w, a)[-1])
-        by_depth = np.argsort(vocab.depth, kind="stable")
-        level_ends = np.cumsum(np.bincount(vocab.depth)).tolist()
-        for lo, hi in zip(level_ends, level_ends[1:]):
-            nodes = by_depth[lo:hi]
-            par, sym = vocab.parent[nodes], vocab.symbol[nodes]
-            prob[nodes] = prob[par] * q.rows_for(code[par])[np.arange(nodes.size), sym]
-            code[nodes] = (code[par] * a + sym) % a**q.w
-        ext = vocab.ext_mask
-        prev = int(ids[-1])
-        denom = 1.0 - float(np.dot(q.row(code[0]), ext[prev]))
-        stop = 1.0 - np.einsum("ij,ij->i", q.rows_for(code[1:]), ext.astype(np.float64))
-        out = prob[1:] * np.maximum(stop, 0.0) / denom
-        out[ext[prev, vocab.first_symbols]] = 0.0
-        return out
+    def token_log_losses(self, stream: TokenSequence) -> TokenLossBreakdown:
+        return _evaluate(self, stream, self.q.w)
 
 
 class TypicalPredictor:
@@ -197,9 +157,6 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
         valid=valid,
         stops=stops,
         alpha=float(lens.mean()),
-        source_length=int(n),
-        token_count=m,
-        vocab_size=vocab.size,
     )
 
 

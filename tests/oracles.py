@@ -5,9 +5,10 @@ dict/loop code and no shared tables with the package internals: joint
 laws by explicit tuple enumeration, the stationary law by a dense linear
 solve, conditional informations from their definitional sums, greedy
 parsing by string slicing against a set.  Tests compare package outputs
-against these.  The sequential sampling and parsing loops and the capped
-power iteration for the stationary law are the package's own earlier
-code, kept here as the references for its faster replacements.
+against these.  The sequential sampling and parsing loops, the capped
+power iteration for the stationary law and the transferred predictor's
+next-token distribution are the package's own earlier code, kept here as
+the references for its faster replacements.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import math
 
 import numpy as np
 
+from recoding.ngram import window_codes
 from recoding.rng import SEQUENCE_STREAM, generator
 from recoding.sources import (_check_irreducible, _context_step, _solve_stationary,
                               stationary_law)
+from recoding.tokenizer import expand
 
 
 def oracle_stationary(kernel) -> dict[tuple, float]:
@@ -257,6 +260,40 @@ def oracle_token_losses(q_row, entry_set: set[tuple], alphabet_size: int,
         stop = 1.0 - sum(q_row(run[-ws:] if ws else ())[a] for a in ext[target])
         losses.append(-math.log2(p * stop / denom))
     return losses
+
+
+def oracle_next_token_distribution(tp, context_ids) -> np.ndarray:
+    """The transferred predictor's distribution over next tokens given a
+    w-token context, from its definition: the q-probability that the
+    source continues with each token's string and then stops, over the
+    probability that the previous token stopped.  Uniform when the context
+    spans fewer than q.w symbols.  Positive only on tokens whose first
+    symbol does not extend the previous token; those sum to one."""
+    ids = np.asarray(context_ids, dtype=np.int64)
+    assert len(ids) == tp.w, f"context must contain exactly {tp.w} tokens"
+    vocab, q = tp.vocab, tp.q
+    history = expand(vocab, ids)
+    if len(history) < q.w:
+        return np.full(vocab.size, 1.0 / vocab.size)
+    a = q.alphabet.size
+    # q-probability that each node's string follows the history, and the
+    # source context after it (the root's is the history's), level by level
+    prob = np.ones(vocab.size + 1)
+    code = np.full(vocab.size + 1, window_codes(history, q.w, a)[-1])
+    by_depth = np.argsort(vocab.depth, kind="stable")
+    level_ends = np.cumsum(np.bincount(vocab.depth)).tolist()
+    for lo, hi in zip(level_ends, level_ends[1:]):
+        nodes = by_depth[lo:hi]
+        par, sym = vocab.parent[nodes], vocab.symbol[nodes]
+        prob[nodes] = prob[par] * q.rows_for(code[par])[np.arange(nodes.size), sym]
+        code[nodes] = (code[par] * a + sym) % a**q.w
+    ext = vocab.ext_mask
+    prev = int(ids[-1])
+    denom = 1.0 - float(np.dot(q.rows_for(code[:1])[0], ext[prev]))
+    stop = 1.0 - np.einsum("ij,ij->i", q.rows_for(code[1:]), ext.astype(np.float64))
+    out = prob[1:] * np.maximum(stop, 0.0) / denom
+    out[ext[prev, vocab.first_symbols]] = 0.0
+    return out
 
 
 def _thin_overlaps(pos: np.ndarray) -> np.ndarray:

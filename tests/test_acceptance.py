@@ -85,7 +85,7 @@ def test_criterion_2_empirical_penalty_matches_theory():
 def test_criterion_3_greedy_round_trip(fig_vocab):
     t0 = time.time()
     ts = r.greedy_parse(fig_vocab, "0101110100")
-    golden_ok = [fig_vocab.entry_label(i) for i in ts.ids] == [
+    golden_ok = [fig_vocab.alphabet.decode(fig_vocab.entries[i]) for i in ts.ids] == [
         "010", "1", "1", "1", "010", "0"]
     failures = 0
     rng = generator(0, 90)
@@ -132,10 +132,10 @@ def test_criterion_5_transfer_reaches_entropy_rate(kernel12):
     seq = r.sample_sequence(kernel12, 10**6, 42)
     vocab = r.train_lzw(seq[:500_000], 1024, kernel12.alphabet)
     stream = r.greedy_parse(vocab, seq)
-    ws = r.worst_case_span(vocab, 4, stream)
+    ws = r.worst_case_span(stream, 4)
     q = r.optimal_predictor(kernel12, 12).smoothed(1e-6)
-    tp = r.TransferredPredictor(q, vocab, 4)
-    loss = tp.token_log_losses(stream, gate=12).per_source_symbol()
+    typ = r.TypicalPredictor(r.TransferredPredictor(q, vocab, 4), 12)
+    loss = typ.token_log_losses(stream).per_source_symbol()
     rate = r.entropy_rate(kernel12)
     elapsed = time.time() - t0
     ok = ws >= 12 and loss <= rate + 0.02 and elapsed < 120
@@ -157,7 +157,7 @@ def test_criterion_6_typical_span_bound():
     failures = []
     for _, label, vocab in vocabs:
         stream = r.greedy_parse(vocab, seq)
-        _, rate = r.compression_stats(vocab, stream)
+        _, rate = r.compression_stats(stream)
         for w in (2, 4):
             from recoding.spans import _window_spans
             spans = np.sort(_window_spans(stream, w))
@@ -217,7 +217,7 @@ def test_criterion_8_heavy_hitting_checks():
     for d in (16, 64, 256, 1024):
         vocab = r.train_lzw(seq, d, kernel.alphabet)
         stream = r.greedy_parse(vocab, seq)
-        rep = r.heavy_hitting_report(kernel, vocab, stream, beta=0.8, d=d, w=4)
+        rep = r.heavy_hitting_report(kernel, stream, beta=0.8, d=d, w=4)
         if not rep.length_inclusion_holds:
             problems.append((d, "length inclusion"))
         if not rep.window_bound_ok:
@@ -239,8 +239,8 @@ def test_criterion_9_text_corpus_slack_profile():
     vocab = r.train_bpe(seq, 4096, alphabet)
     stream = r.greedy_parse(vocab, seq)
     w = 128
-    near = r.slack_curve(vocab, stream, w, range(w, 2 * w + 1))
-    far = r.slack_curve(vocab, stream, w, [16 * w])
+    near = r.slack_curve(stream, w, range(w, 2 * w + 1))
+    far = r.slack_curve(stream, w, [16 * w])
     low_ok = all(slack < 0.05 for _, _, slack in near)
     high_ok = far[0][2] > 0.5
     elapsed = time.time() - t0

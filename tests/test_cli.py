@@ -10,6 +10,7 @@ import recoding as r
 import recoding.cli as cli
 import recoding.tokenizer as tokenizer
 from recoding.cli import main
+from recoding.demo_text import synthesize_corpus
 
 
 @pytest.fixture()
@@ -136,7 +137,6 @@ class TestSpanCdf:
 
     def test_text_corpus(self, runner, tmp_path):
         corpus = tmp_path / "corpus.txt"
-        from recoding.demo_text import synthesize_corpus
         corpus.write_text(synthesize_corpus(30_000, seed=1))
         result = runner.invoke(main, [
             "span-cdf", "--text", str(corpus), "--sizes", "64",
@@ -151,6 +151,32 @@ class TestSpanCdf:
             "span-cdf", "--text", str(tmp_path / "nope.txt"),
             "--output-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_vocab_copies_give_identical_artifacts(self, runner, tmp_path):
+        # the config hash covers a vocabulary file's content, not its path
+        vocab = r.PrefixVocabulary(r.Alphabet.of_size(2), ["010", "11"])
+        outputs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            vocab.save(tmp_path / name / "vocab.json")
+            outputs.append(tmp_path / name / "out")
+            result = runner.invoke(main, [
+                "span-cdf", "--order", "1", "--n", "20000",
+                "--vocab", str(tmp_path / name / "vocab.json"),
+                "--windows", "2", "--output-dir", str(outputs[-1])])
+            assert result.exit_code == 0, result.output
+        first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outputs)
+        assert sorted(first) == ["slack.csv", "spans_markov_k1_vocab_w2.json"]
+        assert first == second
+
+        r.PrefixVocabulary(r.Alphabet.of_size(2), ["011"]).save(tmp_path / "a" / "vocab.json")
+        result = runner.invoke(main, [
+            "span-cdf", "--order", "1", "--n", "20000",
+            "--vocab", str(tmp_path / "a" / "vocab.json"),
+            "--windows", "2", "--output-dir", str(tmp_path / "other")])
+        assert result.exit_code == 0, result.output
+        footer = read_csv(tmp_path / "other" / "slack.csv")[2]
+        assert footer[0] != read_csv(outputs[0] / "slack.csv")[2][0]
 
 
 class TestTransferCheck:
@@ -280,8 +306,20 @@ class TestOneTrainingPerSequence:
             "--alphabet-size", "4", "--order", "1", "--n", "1000",
             "--output-dir", str(tmp_path)])
         assert result.exit_code == 2
+        flag = argv[-2]  # the flag that gave the sizes
+        assert f"{flag}: " in result.stderr
         assert "size 2 is below the alphabet size 4" in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_text_size_below_alphabet_exit_2(self, runner, tmp_path):
+        # the default sizes suit binary sources, not a corpus's characters
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(synthesize_corpus(20_000, seed=0))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "span-cdf", "--text", str(corpus), "--output-dir", str(out)])
+        assert_config_error(result, "--sizes: bpe size 2 is below the alphabet size")
+        assert list(out.iterdir()) == []
 
     def test_alphabet_size_is_the_identity(self, runner, tmp_path, monkeypatch):
         trained = self.count_trainings(monkeypatch, "bpe_units")

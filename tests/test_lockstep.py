@@ -191,8 +191,13 @@ PINNED = {
         "8de1c7a177aa0f7ab0ac391189f566fce5e5d2aa1760a4ba27152e211b568966",
     ),
 }
+# Every file each command writes, from one small run each; the order-12
+# runs cross the same block seams as PINNED.  None reads an input file, so
+# every byte, the config_hash footers included, is a function of the code.
+_MARKOV12 = ["--alphabet-size", "2", "--order", "12", "--dirichlet-alpha", "0.4",
+             "--n", str(PINNED_N), "--train-prefix", "200000"]
 PINNED_ARTIFACTS = {
-    "tok-train": (["--sizes", "4,8"], {
+    "tok-train": ([*_MARKOV12, "--sizes", "4,8"], {
         "ratios.csv":
             "557faca5a4b59ddadd506584a0e20c36ed5e35bab3ffd0372e3bfb7c50c958cb",
         "vocab_seed0_V4.json":
@@ -200,7 +205,7 @@ PINNED_ARTIFACTS = {
         "vocab_seed0_V8.json":
             "aceb749df5131bbd4d94d7e6169fc09d0a5a9a22719918fb16c14e39a8f640c9",
     }),
-    "span-cdf": (["--sizes", "8", "--windows", "1,4,12"], {
+    "span-cdf": ([*_MARKOV12, "--sizes", "8", "--windows", "1,4,12"], {
         "slack.csv":
             "02f260476765c11c054553d8bd99bb1419cf5a57f6e056274774615284f65254",
         "spans_markov_k12_V8_w1.json":
@@ -209,6 +214,36 @@ PINNED_ARTIFACTS = {
             "a327c41ae060d30af38d8568b2a29d37eaf55e0a058b1ded0742fee4759b66c9",
         "spans_markov_k12_V8_w12.json":
             "45df2f1b712e66f5d917b667a3787bf299ee801f59ce7375538b215af22cb4fc",
+    }),
+    "gen-source": (["--n", "5000"], {
+        "kernel_seed0.json":
+            "bdb2af78e61e8717dd01dbbaebe4abb3ca949f9c9466c32c08990fef5355afc6",
+        "sequence_seed0.bin":
+            "1f27b86ae7ffac47f7fc52ab2c08f59ce690c181bc88e2fb4402dde39b446264",
+        "sequence_seed0.bin.json":
+            "b2f01721744f49adcf0254b144311bb0f2e51153c4cb3bab38ab21a6b1187a42",
+    }),
+    "frag-decompose": (["--pairs", "1:2,2:3", "--n", "50000"], {
+        "decomposition.csv":
+            "c6adfe8590be6e58bd4d4553d4a71a87e1e87050624b70ed6180ea67d505756a",
+        "decomposition.json":
+            "47d6b396ab57247b571932b5eb3cd6e91e7abaee1d42233499f8fa9b2187a739",
+    }),
+    "transfer-check": (["--n", "50000", "--tokenizer", "identity", "--tokenizer", "lzw:16"], {
+        "transfer.csv":
+            "3e33ecab0048e3683435b9f078937238954873aba3532b6a0e5aade2eb6e2afb",
+        "transfer_identity_w4_seed0.json":
+            "07cea95e185b4246533579f479ff2fc4c2b9992b4b711fea500e2900e5b099d3",
+        "transfer_lzw16_w4_seed0.json":
+            "8d7cd025fb6427febd055c1a1375433394227b31e6c594657801ef9aa3593940",
+    }),
+    "heavy-hitting": (["--n", "50000", "--budgets", "16,256"], {
+        "heavy_hitting.csv":
+            "0612a9e8d85917e28ccb9b9e896f3c556e1e07c560a40b89e223ede26cf0a3ff",
+        "heavy_seed0_d16.json":
+            "8b87026dc16811972869928903f87e04f077eaf6cb47832aa81d5b19f30e1b93",
+        "heavy_seed0_d256.json":
+            "71759ba59899a00fc85cedf43621c347e22f6cf66dfce7c6cbeb4b10e3be2ae5",
     }),
 }
 
@@ -228,11 +263,9 @@ class TestPinnedDigests:
 
     @pytest.mark.parametrize("command", sorted(PINNED_ARTIFACTS))
     def test_cli_artifacts(self, command, tmp_path):
-        extra, expected = PINNED_ARTIFACTS[command]
-        result = CliRunner().invoke(main, [
-            command, "--alphabet-size", "2", "--order", "12", "--dirichlet-alpha", "0.4",
-            "--n", str(PINNED_N), "--seed", "0", "--train-prefix", "200000", *extra,
-            "--output-dir", str(tmp_path)])
+        args, expected = PINNED_ARTIFACTS[command]
+        result = CliRunner().invoke(main, [command, *args, "--seed", "0",
+                                           "--output-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         got = {path.name: digest(path.read_bytes()) for path in tmp_path.iterdir()}
         assert got == expected

@@ -14,26 +14,24 @@ class TestFit:
     def test_hand_counts(self, binary):
         # "0101", w=1: two 0->1 transitions out of two visits to context 0
         pred = r.fit("0101", 1, 0.5, binary)
-        assert pred.row(0)[1] == pytest.approx(2.5 / 3)
-        assert pred.row(0)[0] == pytest.approx(0.5 / 3)
+        assert pred.rows_for([0])[0] == pytest.approx([0.5 / 3, 2.5 / 3])
 
     def test_unsmoothed_frequencies(self, binary):
         pred = r.fit("00100100", 1, 0.0, binary)
-        row0 = pred.row(0)
+        row0 = pred.rows_for([0])[0]
         # context 0 seen 5 times: 0->0 three times, 0->1 twice
         assert row0[0] == pytest.approx(3 / 5)
         assert row0[1] == pytest.approx(2 / 5)
 
     def test_empty_sequence_uniform(self, binary):
         pred = r.fit("", 2, 0.5, binary)
-        assert np.allclose(pred.row(0), [0.5, 0.5])
-        assert np.allclose(pred.row(3), [0.5, 0.5])
+        assert np.allclose(pred.rows_for([0, 3]), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rows_sum_to_one(self, binary):
         seq = r.sample_sequence(r.sample_kernel(2, 2, 0.5, 0), 5000, 1)
         pred = r.fit(seq, 3, 0.5, binary)
         for code in range(8):
-            assert pred.row(code).sum() == pytest.approx(1.0, abs=1e-12)
+            assert pred.rows_for([code])[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_floor(self, binary):
         seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 2), 1000, 3)
@@ -69,7 +67,7 @@ class TestFitMatchesOracle:
         assert np.allclose(pred.rows_for(codes), expected, rtol=0, atol=1e-12)
         order = data.draw(st.permutations(codes.tolist()), label="query order")
         assert np.array_equal(pred.rows_for(np.array(order, dtype=np.int64)), pred.rows_for(codes)[order])
-        assert np.array_equal(pred.row(int(codes[-1])), pred.rows_for(codes)[-1])
+        assert np.array_equal(pred.rows_for(codes[-1:]), pred.rows_for(codes)[-1:])
         assert pred.positivity_floor() == expected.min()
         loss = oracle_log_loss(ref, seq, w, a)
         assert r.log_loss(pred, seq) == pytest.approx(loss, rel=0, abs=1e-12)
@@ -172,18 +170,16 @@ class TestInSampleLogLoss:
 class TestOptimalPredictor:
     def test_rows_equal_kernel_rows_at_order(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 1)
-        assert np.allclose(pred.row(0), hand_kernel.probs[0], atol=1e-12)
-        assert np.allclose(pred.row(1), hand_kernel.probs[1], atol=1e-12)
+        assert np.allclose(pred.rows_for([0, 1]), hand_kernel.probs, atol=1e-12)
 
     def test_lifted_rows_beyond_order(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 3)
         # context code ends in symbol 1 -> kernel row 1
-        assert np.allclose(pred.row(0b101), hand_kernel.probs[1], atol=1e-12)
-        assert np.allclose(pred.row(0b110), hand_kernel.probs[0], atol=1e-12)
+        assert np.allclose(pred.rows_for([0b101, 0b110]), hand_kernel.probs[[1, 0]], atol=1e-12)
 
     def test_w0_is_stationary_marginal(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 0)
-        assert np.allclose(pred.row(0), [4 / 7, 3 / 7], atol=1e-12)
+        assert np.allclose(pred.rows_for([0])[0], [4 / 7, 3 / 7], atol=1e-12)
 
     def test_marginalized_against_oracle(self):
         k = r.sample_kernel(2, 2, 0.5, 11)
@@ -192,7 +188,7 @@ class TestOptimalPredictor:
         for ctx in (0, 1):
             tot = joint[(ctx, 0)] + joint[(ctx, 1)]
             for y in (0, 1):
-                assert pred.row(ctx)[y] == pytest.approx(joint[(ctx, y)] / tot, abs=1e-10)
+                assert pred.rows_for([ctx])[0][y] == pytest.approx(joint[(ctx, y)] / tot, abs=1e-10)
 
     def test_monotone_loss_in_w(self):
         k = r.sample_kernel(2, 2, 0.5, 21)

@@ -32,18 +32,29 @@ def oracle_ids(vocab, seq):
 
 
 def check_tables(vocab):
-    """lengths, first_symbols, ext_mask and id_of against `entries`."""
+    """lengths, first_symbols, ext_mask and the trie table against
+    `entries`: each entry's walk from the root ends at its node, id + 1."""
     entries = vocab.entries
     entry_set = set(entries)
     assert vocab.lengths.tolist() == [len(e) for e in entries]
     assert vocab.first_symbols.tolist() == [e[0] for e in entries]
     assert vocab.ext_mask.tolist() == [
         [e + (s,) in entry_set for s in range(vocab.alphabet.size)] for e in entries]
-    assert [vocab.id_of(np.array(e)) for e in entries] == list(range(vocab.size))
+    nodes = []
+    for e in entries:
+        node = 0
+        for sym in e:
+            node = int(vocab.trans[node, sym])
+        nodes.append(node)
+    assert nodes == list(range(1, vocab.size + 1))
 
 
 def entry_labels(vocab):
     return sorted(vocab.alphabet.decode(e) for e in vocab.entries)
+
+
+def token_labels(vocab, ids):
+    return [vocab.alphabet.decode(vocab.entries[i]) for i in ids]
 
 
 def random_vocab_and_seq(seed, max_len=300):
@@ -105,17 +116,16 @@ class TestBuildVocab:
 class TestGreedyParse:
     def test_reference_parse(self, fig_vocab):
         ts = r.greedy_parse(fig_vocab, "0101110100")
-        labels = [fig_vocab.entry_label(i) for i in ts.ids]
-        assert labels == ["010", "1", "1", "1", "010", "0"]
+        assert token_labels(fig_vocab, ts.ids) == ["010", "1", "1", "1", "010", "0"]
 
     def test_alphabet_only_vocab(self, binary):
         vocab = r.PrefixVocabulary(binary, [])
         ts = r.greedy_parse(vocab, "0110")
-        assert [vocab.entry_label(i) for i in ts.ids] == ["0", "1", "1", "0"]
+        assert token_labels(vocab, ts.ids) == ["0", "1", "1", "0"]
 
     def test_repeated_long_match(self, fig_vocab):
         ts = r.greedy_parse(fig_vocab, "010010")
-        assert [fig_vocab.entry_label(i) for i in ts.ids] == ["010", "010"]
+        assert token_labels(fig_vocab, ts.ids) == ["010", "010"]
 
     def test_expand_inverts(self, fig_vocab):
         ts = r.greedy_parse(fig_vocab, "0101110100")
@@ -202,7 +212,8 @@ class TestExtSet:
 
     @staticmethod
     def ext_labels(vocab, label):
-        return {vocab.alphabet.symbols[a] for a in np.flatnonzero(vocab.ext_mask[vocab.id_of(label)])}
+        eid = vocab.entries.index(tuple(vocab.alphabet.encode(label).tolist()))
+        return {vocab.alphabet.symbols[a] for a in np.flatnonzero(vocab.ext_mask[eid])}
 
     def test_reference_values(self, fig_vocab):
         assert self.ext_labels(fig_vocab, "0") == {"1"}
@@ -215,8 +226,10 @@ class TestExtSet:
         assert not vocab.ext_mask.any()
 
     def test_unknown_token(self, fig_vocab):
+        # "11" has no node, and an id past the last entry names no token
+        assert fig_vocab.trans[fig_vocab.trans[0, 1], 1] == 0
         with pytest.raises(r.FormatError):
-            fig_vocab.id_of("11")
+            r.expand(fig_vocab, [fig_vocab.size])
 
 
 class TestTrainBpe:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import recoding as r
-from oracles import oracle_token_losses
+from oracles import oracle_next_token_distribution, oracle_token_losses
 from recoding.rng import generator
 
 
@@ -28,18 +28,18 @@ class TestSmooth:
     def test_arithmetic(self, binary):
         pred = r.ContextPredictor(binary, 1, np.array([[1.0, 0.0], [0.0, 1.0]]))
         sm = pred.smoothed(0.01)
-        assert sm.row(0)[0] == pytest.approx(0.995)
+        assert sm.rows_for([0])[0][0] == pytest.approx(0.995)
         assert sm.positivity_floor() >= 0.005
 
     def test_uniform_fixed_point(self, binary):
         pred = r.ContextPredictor(binary, 1, np.full((2, 2), 0.5))
         sm = pred.smoothed(0.3)
-        assert np.allclose(sm.row(0), [0.5, 0.5])
+        assert np.allclose(sm.rows_for([0])[0], [0.5, 0.5])
 
     def test_small_eta_limit(self, k1):
         q = r.optimal_predictor(k1, 1)
         sm = q.smoothed(1e-9)
-        assert np.allclose(sm.row(0), q.row(0), atol=1e-8)
+        assert np.allclose(sm.rows_for([0])[0], q.rows_for([0])[0], atol=1e-8)
 
     def test_range_checked(self, k1):
         q = r.optimal_predictor(k1, 1)
@@ -49,29 +49,31 @@ class TestSmooth:
 
 
 class TestSeqExtend:
-    """The probability q gives a string following a history, as
-    `next_token_distribution` reads it for a token nothing extends after
-    a token nothing extends (stop and end factors are then 1)."""
+    """The probability q gives a string following a history, as the
+    transferred predictor's next-token distribution reads it for a token
+    nothing extends after a token nothing extends (stop and end factors
+    are then 1)."""
 
     def test_single_symbol(self, hand_kernel, binary):
         vocab = r.PrefixVocabulary(binary, [])
         tp = r.TransferredPredictor(r.optimal_predictor(hand_kernel, 1), vocab, 2)
-        dist = tp.next_token_distribution([vocab.id_of("0"), vocab.id_of("1")])
-        assert dist[vocab.id_of("0")] == pytest.approx(0.4)
+        zero, one = vocab.entries.index((0,)), vocab.entries.index((1,))
+        dist = oracle_next_token_distribution(tp, [zero, one])
+        assert dist[zero] == pytest.approx(0.4)
 
     def test_two_factor_product(self, hand_kernel, binary):
         vocab = r.PrefixVocabulary(binary, ["01"])
         tp = r.TransferredPredictor(r.optimal_predictor(hand_kernel, 1), vocab, 2)
+        zero_one, one = vocab.entries.index((0, 1)), vocab.entries.index((1,))
         # history "011" ends in 1: q(0|1) * q(1|0) = 0.4 * 0.3
-        dist = tp.next_token_distribution([vocab.id_of("01"), vocab.id_of("1")])
-        assert dist[vocab.id_of("01")] == pytest.approx(0.12)
+        dist = oracle_next_token_distribution(tp, [zero_one, one])
+        assert dist[zero_one] == pytest.approx(0.12)
 
     def test_short_history_rejected(self, hand_kernel, fig_vocab):
         # a gate below q.w would score windows holding fewer than q.w symbols
         q = r.optimal_predictor(hand_kernel, 2)
-        stream = r.greedy_parse(fig_vocab, "0101110100")
         with pytest.raises(r.ParameterError):
-            r.TransferredPredictor(q, fig_vocab, 2).token_log_losses(stream, gate=1)
+            r.TypicalPredictor(r.TransferredPredictor(q, fig_vocab, 2), 1)
 
 
 class TestTransferConstruction:
@@ -88,7 +90,7 @@ class TestTransferConstruction:
         ctx = window_codes(seq, 1, 2)
         expect = []
         for i in range(2, len(seq) - 1):
-            expect.append(-math.log2(smoothed_q.row(ctx[i - 1])[seq[i]]))
+            expect.append(-math.log2(smoothed_q.rows_for([ctx[i - 1]])[0][seq[i]]))
         assert np.allclose(bd.losses, expect, atol=1e-12)
 
     def test_positivity_required(self, k1, fig_vocab):
@@ -104,7 +106,7 @@ class TestTransferConstruction:
         rng = generator(0, 93)
         for _ in range(1000):
             i = int(rng.integers(2, len(stream.ids)))
-            dist = tp.next_token_distribution(stream.ids[i - 2 : i])
+            dist = oracle_next_token_distribution(tp, stream.ids[i - 2 : i])
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_greedy_consistency_zero_probability(self, smoothed_q, fig_vocab, fig_stream):
@@ -112,7 +114,7 @@ class TestTransferConstruction:
         tp = r.TransferredPredictor(smoothed_q, fig_vocab, 2)
         ids = stream.ids
         for i in range(2, 40):
-            dist = tp.next_token_distribution(ids[i - 2 : i])
+            dist = oracle_next_token_distribution(tp, ids[i - 2 : i])
             prev = ids[i - 1]
             for eid in range(fig_vocab.size):
                 if fig_vocab.ext_mask[prev, fig_vocab.first_symbols[eid]]:
@@ -136,7 +138,7 @@ class TestTransferConstruction:
             code = 0
             for s in ctx:
                 code = code * 2 + int(s)
-            return smoothed_q.row(code)
+            return smoothed_q.rows_for([code])[0]
 
         tokens = [fig_vocab.entries[i] for i in stream.ids]
         ref = oracle_token_losses(q_row, set(fig_vocab.entries), 2, tokens, 2, 1)
@@ -153,7 +155,7 @@ class TestTransferConstruction:
 
 class TestEvaluateMatchesNextTokenDistribution:
     """At every evaluated position of a greedy parse, the vectorized loss
-    equals -log2 of `next_token_distribution` at the realised token, and
+    equals -log2 of `oracle_next_token_distribution` at the realised token, and
     each distribution sums to one; windows spanning fewer than q.w
     symbols are uniform on both paths."""
 
@@ -174,7 +176,7 @@ class TestEvaluateMatchesNextTokenDistribution:
         ids = stream.ids
         assert bd.losses.size == len(ids) - 1 - w
         for j, i in enumerate(range(w, len(ids) - 1)):
-            dist = tp.next_token_distribution(ids[i - w : i])
+            dist = oracle_next_token_distribution(tp, ids[i - w : i])
             assert abs(dist.sum() - 1.0) <= 1e-12
             assert abs(bd.losses[j] + math.log2(dist[ids[i]])) <= 1e-12
         if case == "lzw":
@@ -237,7 +239,7 @@ class TestTypicalPredictor:
         bd = typ.token_log_losses(stream)
         eps = bd.bad_window_fraction()
         assert 0 < eps < 1  # genuinely mixed
-        _, rate = r.compression_stats(vocab, stream)
+        _, rate = r.compression_stats(stream)
         bound = r.conditional_entropy(k, ws) + eps * rate * math.log2(2)
         assert bd.per_source_symbol() <= bound + 3 * bd.per_source_symbol_se()
 
@@ -249,7 +251,7 @@ class TestPerSourceSymbolLoss:
         stream = r.greedy_parse(vocab, seq)
         # gated above every span, the typical predictor is uniform over tokens
         uni = r.TypicalPredictor(r.TransferredPredictor(smoothed_q, vocab, 2), 10**9)
-        alpha, rate = r.compression_stats(vocab, stream)
+        alpha, rate = r.compression_stats(stream)
         got = uni.token_log_losses(stream).per_source_symbol()
         assert got == pytest.approx(rate * math.log2(2), abs=1e-12)
 
@@ -268,9 +270,9 @@ class TestPerSourceSymbolLoss:
         seq = r.sample_sequence(k, 10**6, 42)
         vocab = r.train_lzw(seq[:500_000], 1024, k.alphabet)
         stream = r.greedy_parse(vocab, seq)
-        ws = r.worst_case_span(vocab, 4, stream)
+        ws = r.worst_case_span(stream, 4)
         assert ws >= 12
         q = r.optimal_predictor(k, 12).smoothed(1e-6)
-        tp = r.TransferredPredictor(q, vocab, 4)
-        got = tp.token_log_losses(stream, gate=12).per_source_symbol()
+        typ = r.TypicalPredictor(r.TransferredPredictor(q, vocab, 4), 12)
+        got = typ.token_log_losses(stream).per_source_symbol()
         assert got <= r.entropy_rate(k) + 0.02
