@@ -127,6 +127,10 @@ def _positive(v):
     return _check(_int(v) >= 1, v, "an integer >= 1")
 
 
+def _count(v):
+    return _check(_int(v) >= 0, v, "an integer >= 0")
+
+
 def _number(v):  # an int stays an int, so that a config's 2 and 2.0 hash as written
     return _check(isinstance(v, (int, float)) and not isinstance(v, bool), v, "a number")
 
@@ -545,7 +549,7 @@ def run_span_cdf(config: ExperimentConfig) -> None:
 @_key("--tokenizer", "tokenizers", multiple=True, default=("identity", "lzw:256"),
       parse=_specs, help=f"identity | bpe:V | lzw:d (repeatable); V and d: {_SIZE_RULE}")
 @_key("--window", "windows", type=int, multiple=True, default=(4,), parse=_windows)
-@_key("--ws", type=int, default=None, parse=_int,
+@_key("--ws", type=int, default=None, parse=_count,
       help="source context; default = empirical minimum span")
 @_key("--eta", type=float, default=1e-6, parse=_number)
 @_key("--train-prefix", type=int, default=None, parse=_int)
@@ -680,23 +684,18 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
             w_d = report.window_span_threshold
             eta_hat = report.miss_prob
             if w_d >= 1 and eta_hat < 1.0:
-                try:
-                    target = conditional_entropy(kernel, w_d)
-                    q = optimal_predictor(kernel, w_d).smoothed(config.params["eta_transfer"])
-                    typ = TypicalPredictor(TransferredPredictor(q, vocab, w), w_d)
-                    bd = typ.token_log_losses(stream)
-                    bound = target + 4 * eta_hat * math.log2(d) / (
-                        (1 - eta_hat) * report.ell_d + eta_hat)
-                    payload["end_to_end"] = {
-                        "w_d": w_d,
-                        "measured_bits": bd.per_source_symbol(),
-                        "bound_bits": bound,
-                        "se_bits": bd.per_source_symbol_se(),
-                    }
-                except CapacityError as exc:
-                    click.echo(f"seed {seed} d={d}: no end-to-end bound at w_d={w_d}: {exc}",
-                               err=True)
-                    payload["end_to_end"] = None
+                target = conditional_entropy(kernel, w_d)
+                q = optimal_predictor(kernel, w_d).smoothed(config.params["eta_transfer"])
+                typ = TypicalPredictor(TransferredPredictor(q, vocab, w), w_d)
+                bd = typ.token_log_losses(stream)
+                bound = target + 4 * eta_hat * math.log2(d) / (
+                    (1 - eta_hat) * report.ell_d + eta_hat)
+                payload["end_to_end"] = {
+                    "w_d": w_d,
+                    "measured_bits": bd.per_source_symbol(),
+                    "bound_bits": bound,
+                    "se_bits": bd.per_source_symbol_se(),
+                }
             payloads.append((config.output_dir / f"heavy_seed{seed}_d{d}.json", payload))
             rows.append([
                 seed, d, report.delta, report.ell_d, report.miss_prob,

@@ -27,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphabetError,
-    CapacityError,
-    FormatError,
-    InjectivityError,
-    ParameterError,
-)
+from .errors import AlphabetError, FormatError, InjectivityError, ParameterError
 from .ngram import in_sample_log_loss
 from .sources import (Alphabet, TransitionKernel, cond_entropy_bits, conditional_entropy,
-                      window_law, DEFAULT_TABLE_BUDGET)
+                      window_law)
 
 
 @dataclass(frozen=True)
@@ -192,12 +186,7 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int):
     m = fmap.block_length
     xa = fmap.fragment_alphabet.size
     length = w + 1
-    if a**length > DEFAULT_TABLE_BUDGET:
-        raise CapacityError(
-            f"decomposition at w={w} needs {a**length} source tuples "
-            f"(budget {DEFAULT_TABLE_BUDGET})"
-        )
-    joint = window_law(kernel, length)
+    joint = window_law(kernel, length)  # CapacityError beyond the table budget
     live = np.flatnonzero(joint > 0)
     probs = joint[live]
     # fragment string of each tuple, decoding its symbols newest first

@@ -1,12 +1,15 @@
 """Finite-context conditional tables and the log-losses read from them.
 
-A `ContextPredictor` stores q(y|c) as one (rows, A) float matrix.  With
-no `codes` the matrix is dense: row c is the context whose base-A code
-is c.  Otherwise `codes` is a sorted int64 array naming each row's
+A `ContextPredictor` over w-symbol contexts stores q(y|c) as one
+(rows, A) float matrix.  With no `codes` the matrix is dense with A**m
+rows, m <= w: the predictor reads only the last m symbols of each
+context, and row c is the length-m context whose base-A code is c.
+Otherwise `codes` is a sorted int64 array naming each row's w-symbol
 context, and a context without a row gets the uniform distribution.
-Exact predictors derived from a kernel are dense; fitted ones keep a row
-for each context seen in training.  Context codes follow the same
-convention as `sources`: oldest symbol most significant.
+Exact predictors derived from an order-k kernel are dense with
+m = min(w, k); fitted ones keep a row for each context seen in training.
+Context codes follow the same convention as `sources`: oldest symbol
+most significant.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ def window_codes(seq: np.ndarray, w: int, alphabet_size: int) -> np.ndarray:
 
 class ContextPredictor:
     """Conditional model q(y|c) for contexts of a fixed length w: the rows
-    of `table`, dense over all A**w contexts when `codes` is None, else
-    one row per context in the sorted int64 array `codes`."""
+    of `table`, dense when `codes` is None, else one row per w-symbol
+    context in the sorted int64 array `codes`.  A dense table of A**m
+    rows, m <= w, reads only the last m symbols of each context."""
 
     def __init__(self, alphabet: Alphabet, w: int, table: np.ndarray,
                  codes: np.ndarray | None = None):
@@ -56,6 +60,15 @@ class ContextPredictor:
         self.w = w
         self.table = table
         self.codes = codes
+
+    def context_codes(self, seq) -> np.ndarray:
+        """The code of the context each position after the first w reads,
+        n - w + 1 entries for an n-symbol seq: entry j codes the symbols of
+        seq[j : j + w] the table reads, so it serves position j + w (the
+        last entry, the position after seq).  `rows_for` takes these codes."""
+        a = self.alphabet.size
+        m = self.w if self.codes is not None else round(math.log(len(self.table), a))
+        return window_codes(seq[self.w - m :], m, a)
 
     def rows_for(self, codes: np.ndarray) -> np.ndarray:
         """Probability rows for an array of context codes, shape (len, A)."""
@@ -149,7 +162,7 @@ def log_loss_total(predictor: ContextPredictor, sequence) -> float:
     w, n = predictor.w, len(seq)
     if n <= w:
         raise DataError("sequence must be longer than the context length")
-    rows = predictor.rows_for(window_codes(seq, w, predictor.alphabet.size)[: n - w])
+    rows = predictor.rows_for(predictor.context_codes(seq)[: n - w])
     probs = rows[np.arange(n - w), seq[w:]]
     if np.any(probs <= 0):
         return math.inf
@@ -159,12 +172,13 @@ def log_loss_total(predictor: ContextPredictor, sequence) -> float:
 def optimal_predictor(kernel: TransitionKernel, w: int) -> ContextPredictor:
     """Exact conditional law of the next symbol given each length-w context.
 
+    The law depends only on the last m = min(w, k) symbols, so the table
+    has one dense row per length-m context, from the (m+1)-symbol joint.
     Zero-probability contexts get the uniform row (they are never visited
     by the stationary process).
     """
-    joint = window_law(kernel, w + 1)
     a = kernel.alphabet_size
-    table = joint.reshape(a**w, a)
+    table = window_law(kernel, min(w, kernel.order) + 1).reshape(-1, a)
     totals = table.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
     dense = np.where(totals > 0, table / safe, 1.0 / a)

@@ -213,6 +213,8 @@ def sample_kernel(
 
     Rows are normalized Gamma(alpha, 1) variates on the kernel stream of
     ``seed``, so the table is a deterministic function of its arguments.
+    A table of more than `DEFAULT_TABLE_BUDGET` entries is a CapacityError,
+    raised before anything is drawn.
     """
     if alphabet_size < 2:
         raise ParameterError("alphabet_size must be >= 2")
@@ -220,8 +222,13 @@ def sample_kernel(
         raise ParameterError("order must be >= 0")
     if not dirichlet_alpha > 0:
         raise ParameterError("dirichlet_alpha must be positive")
-    rng = generator(seed, KERNEL_STREAM)
     rows = alphabet_size**order
+    if rows * alphabet_size > DEFAULT_TABLE_BUDGET:
+        raise CapacityError(
+            f"an order-{order} kernel over {alphabet_size} symbols needs "
+            f"{rows * alphabet_size} entries (budget {DEFAULT_TABLE_BUDGET})"
+        )
+    rng = generator(seed, KERNEL_STREAM)
     g = rng.gamma(shape=dirichlet_alpha, scale=1.0, size=(rows, alphabet_size))
     totals = g.sum(axis=1, keepdims=True)
     if np.any(totals == 0):
@@ -240,19 +247,23 @@ def _context_step(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
     return t.reshape(a, a ** (k - 1), a).sum(axis=0).reshape(-1)
 
 
-def _check_irreducible(kernel: TransitionKernel) -> None:
+def _successors(kernel: TransitionKernel) -> np.ndarray:
+    """(A^k, A) table of the context that follows context c on symbol y:
+    (c * A + y) mod A^k, laid out like `kernel.probs`."""
     a = kernel.alphabet_size
-    k = kernel.order
-    states = a**k
+    states = kernel.context_count
+    return (np.arange(states, dtype=np.int64)[:, None] * a + np.arange(a)) % states
+
+
+def _check_irreducible(kernel: TransitionKernel) -> None:
+    states = kernel.context_count
     if states == 1:
         return
-    src = np.repeat(np.arange(states, dtype=np.int64), a)
-    sym = np.tile(np.arange(a, dtype=np.int64), states)
-    dst = (src * a + sym) % states
-    weight = kernel.probs.ravel()
-    keep = weight > 0
+    src = np.repeat(np.arange(states, dtype=np.int64), kernel.alphabet_size)
+    keep = kernel.probs.ravel() > 0
     graph = coo_matrix(
-        (np.ones(int(keep.sum())), (src[keep], dst[keep])), shape=(states, states)
+        (np.ones(int(keep.sum())), (src[keep], _successors(kernel).ravel()[keep])),
+        shape=(states, states),
     )
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
     if n_comp != 1:
@@ -266,12 +277,10 @@ def _solve_stationary(kernel: TransitionKernel) -> np.ndarray:
     from scipy.sparse import identity
     from scipy.sparse.linalg import spsolve
 
-    a = kernel.alphabet_size
     states = kernel.context_count
-    src = np.repeat(np.arange(states, dtype=np.int64), a)
-    sym = np.tile(np.arange(a, dtype=np.int64), states)
-    dst = (src * a + sym) % states
-    chain = coo_matrix((kernel.probs.ravel(), (src, dst)), shape=(states, states)).tocsr()
+    src = np.repeat(np.arange(states, dtype=np.int64), kernel.alphabet_size)
+    chain = coo_matrix((kernel.probs.ravel(), (src, _successors(kernel).ravel())),
+                       shape=(states, states)).tocsr()
     system = (chain.T - identity(states, format="csr")).tolil()
     system[states - 1, :] = 1.0
     rhs = np.zeros(states)
@@ -367,7 +376,7 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     rows = cum.tolist()
     # a context's successor on symbol 0; symbol y adds y, the number of
     # cumulative probabilities at or below u other than the last
-    shifted = np.arange(states) % (states // a) * a
+    shifted = np.ascontiguousarray(_successors(kernel)[:, 0])
     bounds = [np.ascontiguousarray(col) for col in cum.T[:-1]]
 
     def advance(ctx: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -428,20 +437,15 @@ def window_law(kernel: TransitionKernel, length: int) -> np.ndarray:
 def conditional_entropy(kernel: TransitionKernel, w: int) -> float:
     """H(Y_0 | previous w symbols) in bits, from the exact stationary joint.
 
-    Computed in a single compensated pass over the (w+1)-symbol joint
-    rather than as a difference of entropies, to keep the w >= k plateau
-    flat to within 1e-12.
+    Symbols beyond the order k carry no information about the next one,
+    so only the last m = min(w, k) are read: one compensated pass over
+    the (m+1)-symbol joint.  The w >= k plateau is therefore exactly flat,
+    every value equal to `entropy_rate(kernel)`.
     """
     if w < 0:
         raise ParameterError("w must be >= 0")
-    a = kernel.alphabet_size
-    needed = a ** (max(w, kernel.order) + 1)
-    if needed > DEFAULT_TABLE_BUDGET:
-        raise CapacityError(
-            f"conditional entropy at w={w} needs {needed} table entries "
-            f"(budget {DEFAULT_TABLE_BUDGET})"
-        )
-    return cond_entropy_bits(window_law(kernel, w + 1).reshape(-1, a))
+    m = min(w, kernel.order)
+    return cond_entropy_bits(window_law(kernel, m + 1).reshape(-1, kernel.alphabet_size))
 
 
 def cond_entropy_bits(table: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AssumptionViolationError, DataError, ParameterError
-from .sources import TransitionKernel, min_transition_prob
+from .sources import TransitionKernel, _successors, min_transition_prob
 from .tokenizer import TokenSequence, expand
 
 
@@ -117,18 +117,11 @@ def p_max(kernel: TransitionKernel, t) -> float:
     seq = kernel.alphabet.encode(t)
     if len(seq) == 0:
         return 1.0
-    a = kernel.alphabet_size
-    k = kernel.order
-    states = a**k
-    best = np.ones(states)
+    successors = _successors(kernel)
+    best = np.ones(kernel.context_count)
     for sym in seq.tolist():
-        contrib = best * kernel.probs[:, sym]
-        if k == 0:
-            best = contrib
-            continue
-        nxt = np.zeros(states)
-        targets = (np.arange(states, dtype=np.int64) * a + sym) % states
-        np.maximum.at(nxt, targets, contrib)
+        nxt = np.zeros_like(best)
+        np.maximum.at(nxt, successors[:, sym], best * kernel.probs[:, sym])
         best = nxt
     return float(best.max())
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, PositivityError
-from .ngram import ContextPredictor, log_loss_total, window_codes
+from .ngram import ContextPredictor, log_loss_total
 from .tokenizer import PrefixVocabulary, TokenSequence, expand, greedy_parse
 
 
@@ -136,8 +136,7 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     losses = np.full(ii.size, math.log2(vocab.size))
     stops = np.full(ii.size, np.nan)
     if np.any(valid) and n >= ws:
-        codes = window_codes(y, ws, q.alphabet.size)
-        rows = q.rows_for(codes)
+        rows = q.rows_for(q.context_codes(y))
         pos_probs = rows[np.arange(n - ws), y[ws:]]
         cum = np.concatenate([[0.0], np.cumsum(np.log2(pos_probs))])
 

@@ -6,7 +6,8 @@ laws by explicit tuple enumeration, the stationary law by a dense linear
 solve, conditional informations from their definitional sums, greedy
 parsing by string slicing against a set.  Tests compare package outputs
 against these.  The sequential sampling and parsing loops, the capped
-power iteration for the stationary law and the transferred predictor's
+power iteration for the stationary law, the exact predictor's dense
+table over every length-w context and the transferred predictor's
 next-token distribution are the package's own earlier code, kept here as
 the references for its faster replacements.
 """
@@ -18,10 +19,10 @@ import math
 
 import numpy as np
 
-from recoding.ngram import window_codes
+from recoding.ngram import ContextPredictor
 from recoding.rng import SEQUENCE_STREAM, generator
 from recoding.sources import (_check_irreducible, _context_step, _solve_stationary,
-                              stationary_law)
+                              stationary_law, window_law)
 from recoding.tokenizer import expand
 
 
@@ -181,6 +182,18 @@ def oracle_p_max(kernel, symbols) -> float:
     return best
 
 
+def oracle_dense_predictor(kernel, w: int) -> ContextPredictor:
+    """The exact predictor as one dense row per length-w context, from the
+    (w+1)-symbol joint: zero-probability contexts get the uniform row."""
+    joint = window_law(kernel, w + 1)
+    a = kernel.alphabet_size
+    table = joint.reshape(a**w, a)
+    totals = table.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0, totals, 1.0)
+    dense = np.where(totals > 0, table / safe, 1.0 / a)
+    return ContextPredictor(kernel.alphabet, w, dense)
+
+
 def oracle_fit(seq, w: int, alpha: float, alphabet_size: int) -> dict[int, np.ndarray]:
     """The n-gram fit as a dict from each context code the sequence holds
     to its row (count(c,y) + alpha) / (count(c) + alpha*A), plain
@@ -275,23 +288,18 @@ def oracle_next_token_distribution(tp, context_ids) -> np.ndarray:
     history = expand(vocab, ids)
     if len(history) < q.w:
         return np.full(vocab.size, 1.0 / vocab.size)
-    a = q.alphabet.size
-    # q-probability that each node's string follows the history, and the
-    # source context after it (the root's is the history's), level by level
-    prob = np.ones(vocab.size + 1)
-    code = np.full(vocab.size + 1, window_codes(history, q.w, a)[-1])
-    by_depth = np.argsort(vocab.depth, kind="stable")
-    level_ends = np.cumsum(np.bincount(vocab.depth)).tolist()
-    for lo, hi in zip(level_ends, level_ends[1:]):
-        nodes = by_depth[lo:hi]
-        par, sym = vocab.parent[nodes], vocab.symbol[nodes]
-        prob[nodes] = prob[par] * q.rows_for(code[par])[np.arange(nodes.size), sym]
-        code[nodes] = (code[par] * a + sym) % a**q.w
     ext = vocab.ext_mask
     prev = int(ids[-1])
-    denom = 1.0 - float(np.dot(q.rows_for(code[:1])[0], ext[prev]))
-    stop = 1.0 - np.einsum("ij,ij->i", q.rows_for(code[1:]), ext.astype(np.float64))
-    out = prob[1:] * np.maximum(stop, 0.0) / denom
+    denom = 1.0 - float(np.dot(q.rows_for(q.context_codes(history)[-1:])[0], ext[prev]))
+    prob = np.empty(vocab.size)
+    stop = np.empty(vocab.size)
+    for i in range(vocab.size):
+        # the contexts before each of the token's symbols and after its last
+        token = expand(vocab, [i])
+        rows = q.rows_for(q.context_codes(np.concatenate([history, token]))[-len(token) - 1 :])
+        prob[i] = np.prod(rows[np.arange(len(token)), token])
+        stop[i] = 1.0 - float(np.dot(rows[-1], ext[i]))
+    out = prob * np.maximum(stop, 0.0) / denom
     out[ext[prev, vocab.first_symbols]] = 0.0
     return out
 

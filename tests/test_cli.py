@@ -13,6 +13,9 @@ from recoding.cli import main
 from recoding.demo_text import synthesize_corpus
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -42,6 +45,14 @@ class TestGenSource:
         result = runner.invoke(main, [
             "gen-source", "--dirichlet-alpha", "-1", "--output-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_capacity_error_exit_3(self, runner, tmp_path):
+        # an order-27 binary kernel has 2**28 entries: refused before any draw
+        result = runner.invoke(main, [
+            "gen-source", "--order", "27", "--n", "10", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "capacity error" in result.output and "268435456 entries" in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFragDecompose:
@@ -198,12 +209,40 @@ class TestTransferCheck:
             "transfer-check", "--tokenizer", "magic:3", "--output-dir", str(tmp_path)])
         assert result.exit_code == 2
 
-    def test_capacity_error_exit_3(self, runner, tmp_path):
+    def test_negative_ws_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "transfer-check", "--order", "1", "--n", "5000",
-            "--tokenizer", "identity", "--window", "2", "--ws", "200",
-            "--output-dir", str(tmp_path)])
-        assert result.exit_code == 3
+            "transfer-check", "--n", "2000", "--tokenizer", "identity", "--window", "2",
+            "--ws", "-1", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "--ws: expected an integer >= 0" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def check_source_context_loss(out: Path, order: int) -> list[int]:
+        """Every report's ws; at ws >= order the source-context loss is
+        the entropy rate, bit for bit."""
+        reports = [json.loads(p.read_text()) for p in sorted(out.glob("transfer_*.json"))]
+        assert reports
+        for rep in reports:
+            if rep["ws"] >= order:
+                assert rep["source_context_loss_bits"] == rep["entropy_rate_bits"]
+        return [rep["ws"] for rep in reports]
+
+    def test_config_run(self, runner, tmp_path):
+        # its worst-case spans reach 26 symbols, far beyond the order 2
+        result = runner.invoke(main, [
+            "transfer-check", "--config", str(CONFIG_DIR / "transfer-check.json"),
+            "--n", "50000", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert max(self.check_source_context_loss(tmp_path, 2)) > 20
+
+    def test_span_beyond_code_limit(self, runner, tmp_path):
+        # ws > 62: a binary code of ws symbols would not fit in 62 bits
+        result = runner.invoke(main, [
+            "transfer-check", "--order", "1", "--dirichlet-alpha", "0.2", "--n", "30000",
+            "--tokenizer", "lzw:2048", "--window", "8", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert self.check_source_context_loss(tmp_path, 1)[0] > 62
 
 
 class TestAllOrNothing:
@@ -238,12 +277,12 @@ class TestAllOrNothing:
         assert list(tmp_path.iterdir()) == []
 
     def test_transfer_check(self, runner, tmp_path):
-        # window 2 succeeds; window 40 needs a 2**41-entry joint table
+        # window 2 succeeds; 2000 tokens are too few for 1500-token windows
         result = runner.invoke(main, [
             "transfer-check", "--order", "1", "--n", "2000", "--tokenizer", "identity",
-            "--window", "2", "--window", "40", "--output-dir", str(tmp_path)])
-        assert result.exit_code == 3
-        assert "capacity error" in result.output
+            "--window", "2", "--window", "1500", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "1500-token windows" in result.output
         assert list(tmp_path.iterdir()) == []
 
     def test_heavy_hitting(self, runner, tmp_path):
@@ -489,7 +528,7 @@ class TestBadInput:
 
 
 EXPERIMENTS = ["frag-decompose", "tok-train", "span-cdf", "transfer-check", "heavy-hitting"]
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def test_every_experiment_has_a_config():
@@ -501,16 +540,3 @@ def test_config_passes_its_command_checks(path):
     command = main.commands[path.name.split(".")[0]]
     with click.Context(command):
         cli._settings(str(path), {})  # ParameterError on an unknown key or a bad value
-
-
-def test_capacity_skip_of_end_to_end_bound_is_reported(runner, tmp_path, monkeypatch):
-    def too_large(kernel, w):
-        raise r.CapacityError("joint table too large")
-
-    monkeypatch.setattr(cli, "conditional_entropy", too_large)
-    result = runner.invoke(main, [
-        "heavy-hitting", "--n", "20000", "--budgets", "64", "--output-dir", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert json.loads((tmp_path / "heavy_seed0_d64.json").read_text())["end_to_end"] is None
-    (line,) = [ln for ln in result.stderr.splitlines() if "end-to-end" in ln]
-    assert line.startswith("seed 0 d=64:") and "w_d=" in line

@@ -227,15 +227,15 @@ PINNED_ARTIFACTS = {
         "decomposition.csv":
             "c6adfe8590be6e58bd4d4553d4a71a87e1e87050624b70ed6180ea67d505756a",
         "decomposition.json":
-            "47d6b396ab57247b571932b5eb3cd6e91e7abaee1d42233499f8fa9b2187a739",
+            "f8e533e5d81616ccb5fc40eea2184344a80f9d55feb8429e8e218716ec86b257",
     }),
     "transfer-check": (["--n", "50000", "--tokenizer", "identity", "--tokenizer", "lzw:16"], {
         "transfer.csv":
-            "3e33ecab0048e3683435b9f078937238954873aba3532b6a0e5aade2eb6e2afb",
+            "6766affc8195cd91dcb4bf075a356b3fbdb7b3deb4909907ee6c093443364047",
         "transfer_identity_w4_seed0.json":
-            "07cea95e185b4246533579f479ff2fc4c2b9992b4b711fea500e2900e5b099d3",
+            "72f64abdd78fe4413e8aece415521e992d0d5ca96c91a5f5a5b299fa7c44b042",
         "transfer_lzw16_w4_seed0.json":
-            "8d7cd025fb6427febd055c1a1375433394227b31e6c594657801ef9aa3593940",
+            "60287febe70f8988a6256e36efa506b059b53a929fc3f680e26f81716678e949",
     }),
     "heavy-hitting": (["--n", "50000", "--budgets", "16,256"], {
         "heavy_hitting.csv":

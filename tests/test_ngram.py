@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,30 @@ from hypothesis import strategies as st
 
 import recoding as r
 from recoding.ngram import window_codes
-from oracles import oracle_fit, oracle_log_loss, oracle_window_law
+from oracles import oracle_dense_predictor, oracle_fit, oracle_log_loss, oracle_window_law
+
+
+
+def _order2_zero_entries() -> r.TransitionKernel:
+    """Order 2 over three symbols: after context code c = 3 * c1 + c2 the
+    symbol (c1 + c2) mod 3 never comes, the next one comes with
+    probability (c + 1) / 10."""
+    probs = np.zeros((9, 3))
+    for c in range(9):
+        z = (c // 3 + c % 3) % 3
+        probs[c, (z + 1) % 3] = 0.1 * (c + 1)
+        probs[c, (z + 2) % 3] = 1 - 0.1 * (c + 1)
+    return r.TransitionKernel(r.Alphabet.of_size(3), 2, probs)
+
+
+# Irreducible kernels with zero entries: contexts beyond the order that
+# the stationary process never visits get the uniform row in the dense
+# oracle, so rows are compared only where the context has positive mass.
+ZERO_ENTRY_KERNELS = [
+    # golden mean shift: a 1 is always followed by a 0
+    r.TransitionKernel(r.Alphabet.of_size(2), 1, np.array([[0.5, 0.5], [1.0, 0.0]])),
+    _order2_zero_entries(),
+]
 
 
 class TestFit:
@@ -174,8 +198,35 @@ class TestOptimalPredictor:
 
     def test_lifted_rows_beyond_order(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 3)
-        # context code ends in symbol 1 -> kernel row 1
-        assert np.allclose(pred.rows_for([0b101, 0b110]), hand_kernel.probs[[1, 0]], atol=1e-12)
+        assert pred.table.shape == (2, 2)  # one row per last symbol
+        # the context 101 ends in symbol 1 -> kernel row 1; 110 -> row 0
+        for context, row in (([1, 0, 1], 1), ([1, 1, 0], 0)):
+            codes = pred.context_codes(np.array(context))
+            assert codes.size == 1
+            assert np.allclose(pred.rows_for(codes)[0], hand_kernel.probs[row], atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_dense_oracle(self, data):
+        """Up to six symbols beyond the order k the table holds
+        A**min(w, k) rows, which equal those of the dense table over every
+        length-w context on each context of positive mass."""
+        kernel = data.draw(st.one_of(
+            st.sampled_from(ZERO_ENTRY_KERNELS),
+            st.builds(r.sample_kernel, st.integers(2, 3), st.integers(0, 2),
+                      st.sampled_from([0.3, 1.0]), st.integers(0, 1000))))
+        a, k = kernel.alphabet_size, kernel.order
+        w = data.draw(st.integers(0, k + 6))
+        pred = r.optimal_predictor(kernel, w)
+        assert pred.table.shape == (a ** min(w, k), a)
+        dense = oracle_dense_predictor(kernel, w)
+        contexts = np.array(list(itertools.product(range(a), repeat=w)), dtype=np.int32)
+        codes = np.concatenate([pred.context_codes(c) for c in contexts])
+        live = r.window_law(kernel, w) > 0
+        assert np.abs(pred.rows_for(codes) - dense.table)[live].max() <= 1e-12
+        # a row's minimum is at most 1/A, so the dense table's uniform
+        # rows never set its floor
+        assert abs(pred.positivity_floor() - dense.positivity_floor()) <= 1e-12
 
     def test_w0_is_stationary_marginal(self, hand_kernel):
         pred = r.optimal_predictor(hand_kernel, 0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
+import recoding.sources as sources
 from oracles import oracle_conditional_entropy, oracle_entropy_rate, oracle_stationary
 
 
@@ -54,6 +55,16 @@ class TestSampleKernel:
             r.sample_kernel(2, 1, 0.0, 0)
         with pytest.raises(r.ParameterError):
             r.sample_kernel(2, 1, -1.0, 0)
+
+    def test_table_over_budget_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the kernel stream was opened")
+
+        monkeypatch.setattr(sources, "generator", no_draw)
+        # 2**28, 11**8 and 2**41 entries, each over the 10**8 budget
+        for size, order in ((2, 27), (11, 7), (2, 40)):
+            with pytest.raises(r.CapacityError):
+                r.sample_kernel(size, order, 0.5, 0)
 
 
 class TestStationaryLaw:
@@ -180,9 +191,15 @@ class TestConditionalEntropy:
         assert r.conditional_entropy(k, 1) == pytest.approx(
             g["conditional_entropy_w1"], abs=1e-10)
 
-    def test_capacity_error(self, hand_kernel):
-        with pytest.raises(r.CapacityError):
-            r.conditional_entropy(hand_kernel, 64)
+    def test_exactly_flat_beyond_order(self, hand_kernel):
+        """For w >= k only the last k symbols are read, so every value is
+        the entropy rate, bit for bit, at any w."""
+        kernels = [hand_kernel] + [r.sample_kernel(a, k, 0.5, 3) for a, k in
+                                   [(2, 0), (3, 2), (2, 12)]]
+        for k in kernels:
+            rate = r.entropy_rate(k)
+            for w in (k.order, k.order + 1, k.order + 7, 64, 10**6):
+                assert r.conditional_entropy(k, w) == rate
 
     def test_negative_w(self, hand_kernel):
         with pytest.raises(r.ParameterError):
