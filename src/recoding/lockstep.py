@@ -2,9 +2,12 @@
 fixed in advance (Mytkowicz, Musuvathi & Schulte, "Data-Parallel
 Finite-State Machines", ASPLOS 2014).
 
-The input is read in blocks of about 2^20 positions.  A block is cut into
+The input is read in blocks of about 2^22 positions.  A block is cut into
 chunks of one length, and every chunk advances at once, one numpy step per
-position, from each of a few guessed start states.  The seams are then
+position, from each of a few guessed start states.  The speculative runs
+are stored time-major, step t of every guess and chunk in one contiguous
+row, in the smallest unsigned dtype that holds the machine's state count;
+the live states and the caller's tables stay int64.  The seams are then
 repaired in order.  A chunk whose true start state is a guess is already
 right.  Otherwise it reruns with the exact per-position loop from its true
 start state, over slices of doubling width, until a slice ends in a state
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-_BLOCK = 1 << 20
+_BLOCK = 1 << 22
 # Below this many chunks a lockstep step costs more than the positions it
 # advances would cost one at a time.
 _MIN_CHUNKS = 32
@@ -36,40 +39,43 @@ _FIRST_SLICE = 8
 _SLICE = 1 << 14
 
 
-def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling: int):
-    """Yield, one block at a time, the state after every one of n input
-    positions as an int64 array, starting from `state`.
+def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling: int,
+               states: int):
+    """Yield, one block of up to 2^22 positions at a time, the state after
+    every one of n input positions, starting from `state`, as an array of
+    the smallest unsigned dtype that holds `states`, the machine's state
+    count (states are 0 .. states - 1).
 
     read(pos, size) returns inputs pos .. pos + size - 1 as an array, and is
     called for consecutive ranges in order; run(state, xs) returns the
     state after each input of xs as a list, one position at a time;
     advance(states, xs) does one step of many runs at once: it maps a
-    (guesses, chunks) array of states and the chunks' next inputs to their
-    next states.  `guesses` are the speculative start states, and
+    (guesses, chunks) int64 array of states and the chunks' next inputs to
+    their next states.  `guesses` are the speculative start states, and
     `coupling` a first guess at how many positions two runs from
     different states take to meet.
     """
+    dtype = np.min_scalar_type(states - 1)
     length = _first_length(min(n, _BLOCK), coupling)
     pos = 0
     while pos < n:
         # whole chunks, or a plain block once a chunk outgrows one
         size = min(n - pos, _BLOCK // length * length or _BLOCK)
-        xs = read(pos, size)
         if size // length < _MIN_CHUNKS:
-            states = _run_through(xs, state, run)
+            out = _run_through(read(pos, size), state, run, dtype)
         else:
-            states, rerun = _lockstep(xs, state, length, advance, run, guesses)
+            out, rerun = _lockstep(read, pos, size, state, length, advance, run, guesses, dtype)
             if 2 * rerun > size:
                 length *= 4
-        yield states
-        state = int(states[-1])
+        yield out
+        state = int(out[-1])
         pos += size
 
 
-def _run_through(xs: np.ndarray, state: int, run) -> np.ndarray:
+def _run_through(xs: np.ndarray, state: int, run, dtype) -> np.ndarray:
     """The state after every position of xs from `state`, one position at
     a time, in slices that keep run's lists short."""
-    states = np.empty(len(xs), dtype=np.int64)
+    states = np.empty(len(xs), dtype=dtype)
     for lo in range(0, len(xs), _SLICE):
         part = run(state, xs[lo : lo + _SLICE])
         states[lo : lo + len(part)] = part
@@ -84,41 +90,45 @@ def _first_length(size: int, coupling: int) -> int:
     return max(coupling, math.isqrt(size))
 
 
-def _lockstep(xs: np.ndarray, state: int, length: int, advance, run, guesses: tuple):
-    """The state after every position of xs from `state`, and the number of
-    positions rerun at seams."""
-    n = len(xs)
-    chunks = n // length
-    spec_end = chunks * length
-    # spec[g]: every chunk's run from guess g; spec[0] becomes the answer
-    spec = np.empty((len(guesses), n), dtype=np.int64)
-    grid = xs[:spec_end].reshape(chunks, length)
-    runs = spec[:, :spec_end].reshape(len(guesses), chunks, length)
+def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
+              guesses: tuple, dtype):
+    """The state after every one of the `size` positions from `pos` on,
+    from `state`, and the number of positions rerun at seams."""
+    xs = read(pos, size)
+    chunks = size // length
+    whole = chunks * length
+    grid = xs[:whole].reshape(chunks, length)
+    # spec[t, g, c]: chunk c's state after its position t in the run from
+    # guess g; the repair makes spec[:, 0] the answer
+    spec = np.empty((length, len(guesses), chunks), dtype=dtype)
     cur = np.repeat(np.array(guesses, dtype=np.int64)[:, None], chunks, axis=1)
     cur[:, 0] = state
     for t in range(length):
         cur = advance(cur, grid[:, t])
-        runs[:, :, t] = cur
+        spec[t] = cur
 
-    # the positions past the last whole chunk have no speculative state
-    states = spec[0]
     rerun = 0
-    for lo in range(length, n, length):
-        hi = min(lo + length, n)
-        state = int(states[lo - 1])
-        met = guesses.index(state) if lo < spec_end and state in guesses else -1
-        width = _FIRST_SLICE
-        while met < 0 and lo < hi:
-            end = min(lo + width, hi)
-            true = run(state, xs[lo:end])
+    for c in range(1, chunks):
+        own = spec[:, :, c]  # the chunk's runs, (position in the chunk, guess)
+        state = int(spec[-1, 0, c - 1])
+        met = guesses.index(state) if state in guesses else -1
+        lo, width = 0, _FIRST_SLICE
+        while met < 0 and lo < length:
+            end = min(lo + width, length)
+            true = run(state, grid[c, lo:end])
             rerun += end - lo
             state = true[-1]
-            if end <= spec_end:
-                held = spec[:, end - 1].tolist()
-                met = held.index(state) if state in held else -1
-            states[lo:end] = true
+            held = own[end - 1].tolist()
+            met = held.index(state) if state in held else -1
+            own[lo:end, 0] = true
             lo = end
             width *= 2
         if met > 0:
-            states[lo:hi] = spec[met, lo:hi]
-    return states, rerun
+            own[lo:, 0] = own[lo:, met]
+    # the positions past the last whole chunk have no speculative state
+    tail = _run_through(xs[whole:], int(spec[-1, 0, -1]), run, dtype)
+    del xs, grid  # the inputs go before the answer is laid out
+    states = np.empty(size, dtype=dtype)
+    states[:whole].reshape(chunks, length)[...] = spec[:, 0].T
+    states[whole:] = tail
+    return states, rerun + tail.size

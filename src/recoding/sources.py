@@ -404,8 +404,9 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     pos = 0
     guesses = tuple(np.argsort(-law.pi, kind="stable")[:2].tolist())
     # chains that share uniforms take longer to couple the more contexts there are
-    for block in run_states(n, draw, ctx, advance, run, guesses, 4 * states):
-        np.remainder(block, a, out=out[pos : pos + len(block)], casting="unsafe")
+    for block in run_states(n, draw, ctx, advance, run, guesses, 4 * states, states):
+        # a signed loop: A itself need not fit the blocks' unsigned dtype
+        np.remainder(block, a, out=out[pos : pos + len(block)], dtype=np.int64, casting="unsafe")
         pos += len(block)
     return out
 

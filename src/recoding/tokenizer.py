@@ -189,12 +189,18 @@ def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
     prev = 0  # the state before the block; the root before the first
     # parses started at arbitrary offsets mostly rejoin the true parse
     # within a few symbols
-    for states in run_states(len(seq), read, 0, advance, run, (0,), 1):
+    for states in run_states(len(seq), read, 0, advance, run, (0,), 1, flat.size):
+        # the state before each restart ends a token
         at = np.flatnonzero(restart[states])
-        ended = states[at - 1]
-        if at.size and at[0] == 0:
+        first = at.size and at[0] == 0
+        at -= 1  # in place: the positions are the one full-width temporary
+        ended = states[at]
+        del at
+        if first:
             ended[0] = prev
-        ids.append(((ended if prev else ended[1:]) // a - 1).astype(np.int32))
+        # signed before `// a - 1`, which would wrap in the unsigned states
+        ended = ended.astype(np.int32) // a - 1
+        ids.append(ended if prev else ended[1:])
         prev = int(states[-1])
     if len(seq):
         ids.append(np.array([prev // a - 1], dtype=np.int32))

@@ -285,20 +285,32 @@ def oracle_next_token_distribution(tp, context_ids) -> np.ndarray:
     ids = np.asarray(context_ids, dtype=np.int64)
     assert len(ids) == tp.w, f"context must contain exactly {tp.w} tokens"
     vocab, q = tp.vocab, tp.q
-    history = expand(vocab, ids)
+    history = tuple(expand(vocab, ids).tolist())
     if len(history) < q.w:
         return np.full(vocab.size, 1.0 / vocab.size)
+    a = vocab.alphabet.size
+    # a fitted table reads all q.w symbols, a dense one of A^m rows the last m
+    m = q.w if q.codes is not None else round(math.log(len(q.table), a))
+    assert q.codes is not None or a**m == len(q.table)
+
+    def row(symbols: tuple) -> np.ndarray:
+        code = 0
+        for s in symbols[len(symbols) - m :]:
+            code = code * a + s
+        return q.rows_for(np.array([code]))[0]
+
     ext = vocab.ext_mask
     prev = int(ids[-1])
-    denom = 1.0 - float(np.dot(q.rows_for(q.context_codes(history)[-1:])[0], ext[prev]))
+    denom = 1.0 - float(np.dot(row(history), ext[prev]))
     prob = np.empty(vocab.size)
     stop = np.empty(vocab.size)
     for i in range(vocab.size):
         # the contexts before each of the token's symbols and after its last
-        token = expand(vocab, [i])
-        rows = q.rows_for(q.context_codes(np.concatenate([history, token]))[-len(token) - 1 :])
-        prob[i] = np.prod(rows[np.arange(len(token)), token])
-        stop[i] = 1.0 - float(np.dot(rows[-1], ext[i]))
+        run, prob[i] = history, 1.0
+        for sym in expand(vocab, [i]).tolist():
+            prob[i] *= row(run)[sym]
+            run += (sym,)
+        stop[i] = 1.0 - float(np.dot(row(run), ext[i]))
     out = prob * np.maximum(stop, 0.0) / denom
     out[ext[prev, vocab.first_symbols]] = 0.0
     return out

@@ -92,6 +92,18 @@ class TestSampleMatchesLoop:
     def test_alphabet_over_256_symbols(self):
         check_sample(r.sample_kernel(300, 1, 0.3, 2), 700, 2)
 
+    def test_alphabet_of_256_symbols(self):
+        """256 order-1 contexts fill a uint8, and the alphabet size is the
+        one count past its range: the symbols are still each state mod A."""
+        check_sample(r.sample_kernel(256, 1, 0.3, 3), 700, 3)
+
+    @pytest.mark.parametrize("order", [8, 9, 16, 17])
+    def test_state_counts_around_dtype_limits(self, order):
+        """2^8 and 2^16 contexts fill uint8 and uint16; one more order
+        needs the next width.  Dirichlet(1) chains mix fast enough for
+        power iteration at order 17."""
+        check_sample(r.sample_kernel(2, order, 1.0, order), 3000, order)
+
     def test_lengthening_after_a_block_that_does_not_couple(self, monkeypatch):
         """Blocks of 4096 positions, chunks from 64: every seam of the
         cycle is rerun, so each block quadruples the chunk length."""
@@ -101,7 +113,7 @@ class TestSampleMatchesLoop:
         seen = []
         run = lockstep._lockstep
         monkeypatch.setattr(lockstep, "_lockstep",
-                            lambda xs, *args: seen.append(args[1]) or run(xs, *args))
+                            lambda *args: seen.append(args[4]) or run(*args))
         got = r.sample_sequence(kernel, 5 * 4096 + 3, 0)
         assert np.array_equal(got, oracle_sample_loop(kernel, 5 * 4096 + 3, 0))
         assert seen[:4] == [64, 256, 1024, 4096]
@@ -131,6 +143,14 @@ class TestParseMatchesLoop:
         seq = np.concatenate([words[i] for i in rng.integers(0, 30, size=100)]).astype(np.int32)
         check_parse(r.PrefixVocabulary(alphabet, words), seq)
 
+    @pytest.mark.parametrize("depth", [255, 256])
+    def test_state_counts_around_dtype_limit(self, depth):
+        """A unary trie of depth d is a table of d + 1 states: 256 fill a
+        uint8, 257 need a uint16, and a run of zeros visits every one."""
+        vocab = r.PrefixVocabulary(r.Alphabet.of_size(1), [np.zeros(depth, dtype=np.int32)])
+        assert vocab.trans.size == depth + 1
+        check_parse(vocab, np.zeros(1000, dtype=np.int32))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_text_vocabulary(self, seed):
         text = synthesize_corpus(60_000, seed)
@@ -144,13 +164,43 @@ class TestParseMatchesLoop:
                 assert np.array_equal(r.greedy_parse(vocab, seq).ids, expected), length
 
 
+class TestCompactStates:
+    @pytest.mark.parametrize("states, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                               (2**16, np.uint16), (2**16 + 1, np.uint32)])
+    def test_smallest_unsigned_dtype(self, states, dtype):
+        """A counter mod `states` that steps down by 1 to 300, so that it
+        wraps through the top states: every block comes in the smallest
+        dtype that holds them, with the sequential loop's values."""
+        rng = generator(states, 96)
+        xs = rng.integers(states - 300, states, size=5000) % states
+        expected = np.cumsum(xs) % states
+
+        def advance(cur, x):
+            return (cur + x) % states
+
+        def run(state, part):
+            out = []
+            for x in part.tolist():
+                state = (state + x) % states
+                out.append(state)
+            return out
+
+        for length in lengths(len(xs)):
+            with chunk_length(length):
+                blocks = list(lockstep.run_states(len(xs), lambda pos, size: xs[pos : pos + size],
+                                                  0, advance, run, (0, states - 1), 1, states))
+            assert all(block.dtype == dtype for block in blocks)
+            assert np.array_equal(np.concatenate(blocks), expected), length
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Recorded with the sequential loops, on sequences that cross two block
-# seams (3 * 2^20 + 17 symbols); order-12 seed 1 has blocks whose chains
-# do not couple and parses that stay out of phase for long stretches.
+# Recorded with the sequential loops, so every block size must reproduce
+# them.  3 * 2^20 + 17 symbols fit in one block of 2^22, and cross three
+# block seams at 2^20 (`test_block_seams`); order-12 seed 1 has stretches
+# whose chains do not couple and parses that stay out of phase for long.
 PINNED_N = 3 * 2**20 + 17
 # (alphabet size, order, Dirichlet alpha, seed): digests of the sequence and
 # of its BPE and LZW parses
@@ -192,7 +242,7 @@ PINNED = {
     ),
 }
 # Every file each command writes, from one small run each; the order-12
-# runs cross the same block seams as PINNED.  None reads an input file, so
+# runs are as long as PINNED's.  None reads an input file, so
 # every byte, the config_hash footers included, is a function of the code.
 _MARKOV12 = ["--alphabet-size", "2", "--order", "12", "--dirichlet-alpha", "0.4",
              "--n", str(PINNED_N), "--train-prefix", "200000"]
@@ -248,18 +298,26 @@ PINNED_ARTIFACTS = {
 }
 
 
+def check_pinned(source):
+    a, order, alpha, seed = source
+    seq_digest, bpe_digest, lzw_digest = PINNED[source]
+    kernel = r.sample_kernel(a, order, alpha, seed)
+    seq = r.sample_sequence(kernel, PINNED_N, seed)
+    assert digest(seq.astype(np.int32).tobytes()) == seq_digest
+    bpe, lzw = r.train_vocabularies(seq[:200_000], kernel.alphabet,
+                                    [("bpe", a + 6), ("lzw", a + 30)])
+    assert digest(r.greedy_parse(bpe, seq).ids.tobytes()) == bpe_digest
+    assert digest(r.greedy_parse(lzw, seq).ids.tobytes()) == lzw_digest
+
+
 class TestPinnedDigests:
     @pytest.mark.parametrize("source", sorted(PINNED))
     def test_sample_and_parse(self, source):
-        a, order, alpha, seed = source
-        seq_digest, bpe_digest, lzw_digest = PINNED[source]
-        kernel = r.sample_kernel(a, order, alpha, seed)
-        seq = r.sample_sequence(kernel, PINNED_N, seed)
-        assert digest(seq.astype(np.int32).tobytes()) == seq_digest
-        bpe, lzw = r.train_vocabularies(seq[:200_000], kernel.alphabet,
-                                        [("bpe", a + 6), ("lzw", a + 30)])
-        assert digest(r.greedy_parse(bpe, seq).ids.tobytes()) == bpe_digest
-        assert digest(r.greedy_parse(lzw, seq).ids.tobytes()) == lzw_digest
+        check_pinned(source)
+
+    def test_block_seams(self, monkeypatch):
+        monkeypatch.setattr(lockstep, "_BLOCK", 2**20)
+        check_pinned((2, 12, 0.4, 1))
 
     @pytest.mark.parametrize("command", sorted(PINNED_ARTIFACTS))
     def test_cli_artifacts(self, command, tmp_path):
