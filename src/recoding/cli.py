@@ -162,7 +162,10 @@ def _file(v):
 
 def _pair(v):
     _check(isinstance(v, (list, tuple)) and len(v) == 2, v, "a k:M pair")
-    return _int(v[0]), _int(v[1])
+    k, m = _int(v[0]), _int(v[1])
+    if k < 0 or m < 1:
+        raise ValueError(f"expected order k >= 0 and block length M >= 1, got pair {k}:{m}")
+    return k, m
 
 
 def _spec(v):

@@ -14,8 +14,9 @@ Everything here is computed by enumerating source tuples and projecting
 to fragment strings; fragment tuples are never enumerated directly, so
 the tables stay exactly consistent with the source law.  Each table is a
 (distinct contexts, |X|) mass matrix built with array operations: contexts
-are grouped on the raw bytes of their fragment rows, which is exact for
-any alphabet and window, and masses are summed in tuple order.
+are grouped on their fragment rows packed into integer codes, ranked
+before a code could overflow, which is exact for any alphabet and window,
+and masses are summed in tuple order.
 Conditional entropies are one compensated sum over a table's nonzero
 entries.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetError, FormatError, InjectivityError, ParameterError
-from .ngram import in_sample_log_loss
+from .ngram import _CODE_LIMIT, in_sample_log_loss, rank_codes
 from .sources import (Alphabet, TransitionKernel, cond_entropy_bits, conditional_entropy,
                       window_law)
 
@@ -127,17 +128,29 @@ def fragment(fmap: FragmentationMap, y_sequence) -> np.ndarray:
     return fmap.codebook[seq].reshape(-1).astype(np.int32, copy=False)
 
 
-def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ids of the rows of a 2-D integer array, and how many differ.
-    Rows are compared as raw bytes (a void view), so ids are exact for any
-    alphabet size and row width: no row is packed into an integer that
-    could overflow."""
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=np.intp), 1
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    uniq, ids = np.unique(keys, return_inverse=True)
-    return ids.ravel(), uniq.size
+def _append_column(codes: np.ndarray, space: int, column: np.ndarray,
+                   base: int) -> tuple[np.ndarray, int]:
+    """Codes of rows one base-`base` digit wider, the new digit `column`
+    least significant, and the new code space; codes below `space` are
+    ranked first when the wider space could pass the code limit, so every
+    code stays exact."""
+    if space * base > _CODE_LIMIT:
+        distinct, codes, _ = rank_codes(codes, space, index=True)
+        space = distinct.size
+    return codes * base + column, space * base
+
+
+def _row_ids(rows: np.ndarray, base: int) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows of a 2-D array of base-`base` digits, and how
+    many differ.  Rows are packed into int64 codes, first column most
+    significant, and ranked whenever one more column could overflow, so
+    ids are exact for any alphabet and row width and follow the rows'
+    lexicographic order."""
+    codes, space = np.zeros(rows.shape[0], dtype=np.int64), 1
+    for column in rows.T:
+        codes, space = _append_column(codes, space, column, base)
+    distinct, ids, _ = rank_codes(codes, space, index=True)
+    return ids, distinct.size
 
 
 def defragment(fmap: FragmentationMap, x_sequence) -> np.ndarray:
@@ -149,7 +162,7 @@ def defragment(fmap: FragmentationMap, x_sequence) -> np.ndarray:
     blocks = seq.reshape(-1, m)
     ysize = fmap.source_alphabet.size
     # group codewords and blocks together; a block's id names its codeword
-    ids, n_ids = _row_ids(np.vstack([fmap.codebook, blocks]))
+    ids, n_ids = _row_ids(np.vstack([fmap.codebook, blocks]), fmap.fragment_alphabet.size)
     source_of = np.full(n_ids, -1, dtype=np.int32)
     source_of[ids[:ysize]] = np.arange(ysize, dtype=np.int32)
     out = source_of[ids[ysize:]]
@@ -176,11 +189,13 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int):
     tuple of positive mass to its fragment string, and reads off for each
     phase the length-Mw context, the full context back to the window
     start, and the target fragment.  Each table is a (distinct contexts,
-    |X|) mass matrix: contexts are grouped on their fragment rows (see
-    `_row_ids`), so keys are exact for every map, and each entry sums its
-    tuples' masses in tuple order, phase after phase, as a loop over
-    tuples would.  Returns (own, full, pooled): own/full are per-phase
-    lists and pooled mixes the phases with weight 1/M.
+    |X|) mass matrix: contexts are grouped on their fragment rows packed
+    into codes (see `_row_ids`), so keys are exact for every map, and each
+    entry sums its tuples' masses in tuple order, phase after phase, as a
+    loop over tuples would.  Each fragment string is decoded once, and
+    phase t's full context is phase t-1's plus one column.  Returns (own,
+    full, pooled): own/full are per-phase lists and pooled mixes the
+    phases with weight 1/M.
     """
     a = kernel.alphabet_size
     m = fmap.block_length
@@ -200,14 +215,19 @@ def _phase_tables(kernel: TransitionKernel, fmap: FragmentationMap, w: int):
     mw = m * w
     targets = frag[:, mw:].T  # (phase, tuple)
     # one grouping of every phase's own context also serves the pooled table
-    own_ids, n_own = _row_ids(np.concatenate([frag[:, t : mw + t] for t in range(m)]))
+    own_ids, n_own = _row_ids(np.concatenate([frag[:, t : mw + t] for t in range(m)]), xa)
     own_ids = own_ids.reshape(m, live.size)
     own = [_mass_table(own_ids[t], n_own, targets[t], probs, xa) for t in range(m)]
     pooled = _mass_table(own_ids.ravel(), n_own, targets.ravel(),
                          np.tile(probs * (1.0 / m), m), xa)
-    # phase 1's full context is its own context
-    full = own[:1] + [_mass_table(*_row_ids(frag[:, : mw + t]), targets[t], probs, xa)
-                      for t in range(1, m)]
+    # phase 1's full context is its own context, and each later phase's is
+    # the one before it plus one column
+    full = own[:1]
+    codes, space = own_ids[0], n_own
+    for t in range(1, m):
+        codes, space = _append_column(codes, space, frag[:, mw + t - 1], xa)
+        distinct, ids, _ = rank_codes(codes, space, index=True)
+        full.append(_mass_table(ids, distinct.size, targets[t], probs, xa))
     return own, full, pooled
 
 

@@ -62,7 +62,7 @@ def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling:
         # whole chunks, or a plain block once a chunk outgrows one
         size = min(n - pos, _BLOCK // length * length or _BLOCK)
         if size // length < _MIN_CHUNKS:
-            out = _run_through(read(pos, size), state, run, dtype)
+            out = _run_through(read, pos, size, state, run, dtype)
         else:
             out, rerun = _lockstep(read, pos, size, state, length, advance, run, guesses, dtype)
             if 2 * rerun > size:
@@ -72,12 +72,14 @@ def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling:
         pos += size
 
 
-def _run_through(xs: np.ndarray, state: int, run, dtype) -> np.ndarray:
-    """The state after every position of xs from `state`, one position at
-    a time, in slices that keep run's lists short."""
-    states = np.empty(len(xs), dtype=dtype)
-    for lo in range(0, len(xs), _SLICE):
-        part = run(state, xs[lo : lo + _SLICE])
+def _run_through(read, pos: int, size: int, state: int, run, dtype) -> np.ndarray:
+    """The state after every one of the `size` positions from `pos` on,
+    from `state`, one position at a time.  The inputs are read and run one
+    slice at a time, which keeps both run's lists and the inputs held at
+    once short."""
+    states = np.empty(size, dtype=dtype)
+    for lo in range(0, size, _SLICE):
+        part = run(state, read(pos + lo, min(_SLICE, size - lo)))
         states[lo : lo + len(part)] = part
         state = part[-1]
     return states
@@ -94,10 +96,9 @@ def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
               guesses: tuple, dtype):
     """The state after every one of the `size` positions from `pos` on,
     from `state`, and the number of positions rerun at seams."""
-    xs = read(pos, size)
     chunks = size // length
     whole = chunks * length
-    grid = xs[:whole].reshape(chunks, length)
+    grid = read(pos, whole).reshape(chunks, length)
     # spec[t, g, c]: chunk c's state after its position t in the run from
     # guess g; the repair makes spec[:, 0] the answer
     spec = np.empty((length, len(guesses), chunks), dtype=dtype)
@@ -125,9 +126,9 @@ def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
             width *= 2
         if met > 0:
             own[lo:, 0] = own[lo:, met]
+    del grid  # the inputs go before the answer is laid out
     # the positions past the last whole chunk have no speculative state
-    tail = _run_through(xs[whole:], int(spec[-1, 0, -1]), run, dtype)
-    del xs, grid  # the inputs go before the answer is laid out
+    tail = _run_through(read, pos + whole, size - whole, int(spec[-1, 0, -1]), run, dtype)
     states = np.empty(size, dtype=dtype)
     states[:whole].reshape(chunks, length)[...] = spec[:, 0].T
     states[whole:] = tail

@@ -100,30 +100,48 @@ class ContextPredictor:
         return ContextPredictor(self.alphabet, self.w, table, self.codes)
 
 
+def rank_codes(codes: np.ndarray, space: int, index: bool = False):
+    """Group the non-negative int64 `codes`, each below `space`: (their
+    sorted distinct values, each code's position among them or None
+    unless `index`, how often each value occurs).  Counts over the whole
+    code space when it is at most twice the number of codes, and sorts
+    otherwise."""
+    if space <= 2 * codes.size:
+        counts = np.bincount(codes, minlength=space)
+        distinct = np.flatnonzero(counts)
+        pos = (np.cumsum(counts > 0) - 1)[codes] if index else None
+        return distinct, pos, counts[distinct]
+    if index:
+        return np.unique(codes, return_inverse=True, return_counts=True)
+    distinct, counts = np.unique(codes, return_counts=True)
+    return distinct, None, counts
+
+
 def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None):
     """Validate `fit`'s arguments and count every (context, next symbol):
     (alphabet, sequence length, sorted distinct codes context * A + symbol,
-    their counts)."""
+    their counts, the distinct contexts, and the row of each code's
+    context among them)."""
     if w < 0:
         raise ParameterError("w must be >= 0")
     if laplace_alpha < 0:
         raise ParameterError("laplace_alpha must be >= 0")
     alphabet, seq = encode_corpus(sequence, alphabet)
     a = alphabet.size
-    if a ** (w + 1) > _CODE_LIMIT:
-        raise CapacityError("context table space exceeds the code limit")
-    n = len(seq)
-    ctx = window_codes(seq, w, a)[: n - w]
-    codes, counts = np.unique(ctx * a + seq[w:], return_counts=True)
-    return alphabet, n, codes, counts
+    # a (w+1)-window's code is its context's code times A plus its symbol
+    codes, _, counts = rank_codes(window_codes(seq, w + 1, a), a ** (w + 1))
+    # the codes are sorted, so each context's codes are one run
+    ctx = codes // a
+    new = np.ones(ctx.size, dtype=bool)
+    np.not_equal(ctx[1:], ctx[:-1], out=new[1:])
+    return alphabet, len(seq), codes, counts, ctx[new], np.cumsum(new) - 1
 
 
 def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None) -> ContextPredictor:
     """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass,
     with a row for each context the sequence holds."""
-    alphabet, _, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
+    alphabet, _, codes, cnt, contexts, row = _count_table(sequence, w, laplace_alpha, alphabet)
     a = alphabet.size
-    contexts, row = np.unique(codes // a, return_inverse=True)
     table = np.zeros((contexts.size, a))
     table[row, codes % a] = cnt
     table = (table + laplace_alpha) / (table.sum(axis=1, keepdims=True) + laplace_alpha * a)
@@ -138,12 +156,11 @@ def in_sample_log_loss(sequence, w: int, laplace_alpha: float,
     but is read straight off the count table, as
     -sum count(c,y) * log2 q(y|c) / (n - w), without building a predictor.
     """
-    alphabet, n, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
+    alphabet, n, _, cnt, _, row = _count_table(sequence, w, laplace_alpha, alphabet)
     if n <= w:
         raise DataError("sequence must be longer than the context length")
     a = alphabet.size
-    _, ctx = np.unique(codes // a, return_inverse=True)
-    totals = np.bincount(ctx, weights=cnt)[ctx]
+    totals = np.bincount(row, weights=cnt)[row]
     q = (cnt + laplace_alpha) / (totals + laplace_alpha * a)
     return float(-np.sum(cnt * np.log2(q)) / (n - w))
 

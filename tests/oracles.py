@@ -7,9 +7,10 @@ solve, conditional informations from their definitional sums, greedy
 parsing by string slicing against a set.  Tests compare package outputs
 against these.  The sequential sampling and parsing loops, the capped
 power iteration for the stationary law, the exact predictor's dense
-table over every length-w context and the transferred predictor's
-next-token distribution are the package's own earlier code, kept here as
-the references for its faster replacements.
+table over every length-w context, the transferred predictor's
+next-token distribution, the grouping of rows on their raw bytes and the
+sorted n-gram count are the package's own earlier code, kept here as the
+references for its faster replacements.
 """
 
 from __future__ import annotations
@@ -211,6 +212,30 @@ def oracle_fit(seq, w: int, alpha: float, alphabet_size: int) -> dict[int, np.nd
         tot = cnt.sum()
         rows[code] = (cnt + alpha) / (tot + alpha * a) if alpha > 0 else cnt / tot
     return rows
+
+
+def oracle_count_table(seq, w: int, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct codes context * A + symbol of every position
+    after the first w of an index sequence, and their counts, from a sort
+    (`np.unique`)."""
+    a = alphabet_size
+    seq = np.asarray(seq, dtype=np.int64)
+    m = max(len(seq) - w, 0)
+    codes = np.zeros(m, dtype=np.int64)
+    for j in range(w + 1):
+        codes = codes * a + seq[j : j + m]
+    return np.unique(codes, return_counts=True)
+
+
+def oracle_row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows of a 2-D integer array, and how many differ,
+    from a sort of each row's raw bytes (a void view)."""
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.intp), 1
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    uniq, ids = np.unique(keys, return_inverse=True)
+    return ids.ravel(), uniq.size
 
 
 def oracle_log_loss(rows: dict[int, np.ndarray], seq, w: int, alphabet_size: int) -> float:

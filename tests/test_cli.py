@@ -456,6 +456,9 @@ class TestBadInput:
         (["tok-train", "--sizes", "4,x"], None, "--sizes"),
         (["heavy-hitting", "--budgets", "16,,64"], None, "--budgets"),
         (["heavy-hitting", "--kernel", "missing.json"], None, "--kernel"),
+        # checked before any pair runs, so no artifact of 1:2 is written
+        (["frag-decompose", "--pairs", "1:2,1:0"], None, "M >= 1, got pair 1:0"),
+        (["frag-decompose", "--pairs", "1:2,-1:2"], None, "order k >= 0 and block length"),
     ])
     def test_exit_2_naming_the_key_or_flag(self, runner, tmp_path, argv, config, named):
         if config is not None:
@@ -464,6 +467,7 @@ class TestBadInput:
             argv = argv + ["--config", str(path)]
         result = runner.invoke(main, argv + ["--output-dir", str(tmp_path)])
         assert_config_error(result, named)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
 
     def test_vocab_file_not_json(self, runner, tmp_path):
         vpath = tmp_path / "vocab.json"

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
-from oracles import oracle_fragmentation
+from oracles import oracle_fragmentation, oracle_row_ids
+from recoding.fragmentation import _row_ids
 from recoding.rng import generator
 
 
@@ -112,6 +113,43 @@ class TestFragment:
         fmap = r.make_map(r.Alphabet.of_size(3), r.Alphabet.of_size(2), 2, ["00", "01", "10"])
         with pytest.raises(r.AlphabetError, match=r"block \(1, 1\) is not a codeword"):
             r.defragment(fmap, "0110110011")
+
+
+class TestRowIds:
+    """Rows packed into integer codes against a sort of their raw bytes."""
+
+    @staticmethod
+    def check(rows: np.ndarray, base: int):
+        ids, n_ids = _row_ids(rows, base)
+        want, n_want = oracle_row_ids(rows.astype(np.uint8 if base <= 256 else np.uint16))
+        assert n_ids == n_want
+        # the same partition: as many (id, oracle id) pairs as groups
+        assert len(set(zip(ids.tolist(), want.tolist()))) == n_ids
+        assert set(ids.tolist()) == set(range(n_ids))
+        if base <= 256:  # one byte a digit: byte order is digit order
+            assert np.array_equal(ids, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), base=st.sampled_from([2, 3, 256, 300]),
+           width=st.integers(0, 70), n=st.integers(1, 60))
+    def test_same_groups_as_byte_sort(self, seed, base, width, n):
+        """Near-duplicate rows: each differs from a common row in at most
+        one column.  300^8 > 2^62, so wide rows are ranked part-way."""
+        rng = generator(seed, 95)
+        protos = np.repeat(rng.integers(0, base, size=(1, width)), 8, axis=0)
+        for row in protos[1:]:
+            if width:
+                row[rng.integers(0, width)] = rng.integers(0, base)
+        self.check(protos[rng.integers(0, len(protos), size=n)], base)
+
+    @pytest.mark.parametrize("base, width", [(2, 70), (300, 9)])
+    def test_rows_that_differ_past_the_code_limit(self, base, width):
+        """Rows that differ only in their first or last column, wider than
+        one int64 code holds."""
+        rows = np.zeros((5, width), dtype=np.int64)
+        rows[1, -1] = rows[2, 0] = rows[4, -1] = 1
+        self.check(rows, base)
+        assert _row_ids(rows, base)[1] == 3
 
 
 class TestExactLosses:

@@ -104,6 +104,27 @@ class TestSampleMatchesLoop:
         power iteration at order 17."""
         check_sample(r.sample_kernel(2, order, 1.0, order), 3000, order)
 
+    def test_sequential_path_reads_one_slice_at_a_time(self, monkeypatch):
+        """A run too short for 32 chunks of the coupling length (4 * 2^6) is
+        the sequential loop: it reads and runs its inputs 100 at a time, in
+        order, and matches the loop bit for bit."""
+        monkeypatch.setattr(lockstep, "_SLICE", 100)
+        reads = []
+        run_states = lockstep.run_states
+
+        def logged_run_states(n, read, *args):
+            def logged(pos, size):
+                reads.append((pos, size))
+                return read(pos, size)
+            return run_states(n, logged, *args)
+
+        monkeypatch.setattr(r.sources, "run_states", logged_run_states)
+        kernel = r.sample_kernel(2, 6, 1.0, 6)
+        n = 5050
+        got = r.sample_sequence(kernel, n, 6)
+        assert np.array_equal(got, oracle_sample_loop(kernel, n, 6))
+        assert reads == [(pos, min(100, n - pos)) for pos in range(0, n, 100)]
+
     def test_lengthening_after_a_block_that_does_not_couple(self, monkeypatch):
         """Blocks of 4096 positions, chunks from 64: every seam of the
         cycle is rerun, so each block quadruples the chunk length."""

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
-from recoding.ngram import window_codes
-from oracles import oracle_dense_predictor, oracle_fit, oracle_log_loss, oracle_window_law
+from recoding.ngram import _count_table, rank_codes, window_codes
+from oracles import (oracle_count_table, oracle_dense_predictor, oracle_fit, oracle_log_loss,
+                     oracle_window_law)
 
 
 
@@ -145,6 +146,37 @@ class TestLogLoss:
         pred = r.fit("0101", 2, 0.5, binary)
         with pytest.raises(r.DataError):
             r.log_loss(pred, "01")
+
+
+class TestCountTable:
+    """Counts over the whole code space when it is at most twice the
+    number of codes, a sort otherwise: the same codes and counts as the
+    sort oracle, bit for bit, on both sides."""
+
+    @pytest.mark.parametrize("a, w, n, counted", [
+        (2, 3, 150, True), (2, 0, 1, True), (5, 2, 3000, True),
+        (36, 3, 150, False), (2, 12, 150, False), (300, 1, 500, False),
+    ])
+    def test_matches_sort(self, a, w, n, counted):
+        assert (a ** (w + 1) <= 2 * (n - w)) == counted
+        seq = np.random.default_rng(a * 100 + w).integers(0, a, size=n).astype(np.int32)
+        _, _, codes, counts, _, _ = _count_table(seq, w, 0.5, r.Alphabet.of_size(a))
+        want_codes, want_counts = oracle_count_table(seq, w, a)
+        for got, want in ((codes, want_codes), (counts, want_counts)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(0, 300),
+           space=st.sampled_from([1, 7, 64, 600, 2**40]))
+    def test_rank_codes(self, seed, n, space):
+        codes = np.random.default_rng(seed).integers(0, space, size=n)
+        distinct, index, counts = rank_codes(codes, space, index=True)
+        want = np.unique(codes, return_inverse=True, return_counts=True)
+        for got, expected in zip((distinct, index, counts), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert rank_codes(codes, space)[1] is None
 
 
 class TestInSampleLogLoss:
