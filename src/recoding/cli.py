@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
     PositivityError,
 )
-from .fragmentation import decompose, empirical_fragmented_loss, make_map
+from .fragmentation import decompose, empirical_fragmented_loss, fragment, make_map
 from .ngram import in_sample_log_loss, optimal_predictor
 from .sources import (
     Alphabet,
@@ -392,9 +392,14 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
             kernel = sample_kernel(src_size, order, d_alpha, seed)
             fmap = make_map(kernel.alphabet, Alphabet.of_size(2), block)
             seq = sample_sequence(kernel, n, seed)
-            for w in (order, order + 1):
-                report = decompose(kernel, fmap, w)
-                emp_frag = empirical_fragmented_loss(fmap, seq, w, l_alpha)
+            windows = (order, order + 1)
+            exact = [decompose(kernel, fmap, w) for w in windows]
+            # one fragmentation for both windows, held only while they are scored
+            frags = fragment(fmap, seq)
+            emp_frags = [empirical_fragmented_loss(fmap, seq, w, l_alpha, fragments=frags)
+                         for w in windows]
+            del frags
+            for w, report, emp_frag in zip(windows, exact, emp_frags):
                 emp_src = in_sample_log_loss(seq, w, l_alpha, kernel.alphabet)
                 rows.append([order, block, seed, *report.to_json().values(),
                              emp_frag, emp_src, emp_frag - report.source_loss])

@@ -257,14 +257,16 @@ def decompose(kernel: TransitionKernel, fmap: FragmentationMap, w: int) -> Decom
 
 
 def empirical_fragmented_loss(
-    fmap: FragmentationMap, y_sequence, w: int, laplace_alpha: float
+    fmap: FragmentationMap, y_sequence, w: int, laplace_alpha: float, *, fragments=None
 ) -> float:
     """Laplace n-gram loss on the fragmented stream, bits per source symbol.
 
     Scores an (Mw)-context model fitted on the fragmented sequence on
     that same sequence and scales the per-fragment loss by M, so the value
-    is comparable to `decompose`'s fragmented loss.
+    is comparable to `decompose`'s fragmented loss.  `fragments` is that
+    sequence, ``fragment(fmap, y_sequence)``, for a caller that scores
+    several windows of one source sequence and fragments it once.
     """
-    x = fragment(fmap, y_sequence)
+    x = fragment(fmap, y_sequence) if fragments is None else fragments
     m = fmap.block_length
     return m * in_sample_log_loss(x, m * w, laplace_alpha, fmap.fragment_alphabet)

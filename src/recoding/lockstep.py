@@ -4,17 +4,21 @@ Finite-State Machines", ASPLOS 2014).
 
 The input is read in blocks of about 2^22 positions.  A block is cut into
 chunks of one length, and every chunk advances at once, one numpy step per
-position, from each of a few guessed start states.  The speculative runs
-are stored time-major, step t of every guess and chunk in one contiguous
-row, in the smallest unsigned dtype that holds the machine's state count;
-the live states and the caller's tables stay int64.  The seams are then
-repaired in order.  A chunk whose true start state is a guess is already
-right.  Otherwise it reruns with the exact per-position loop from its true
-start state, over slices of doubling width, until a slice ends in a state
-that a speculative run of the chunk holds at that index.  From there both
-runs read the same input from the same state, so that run is right for
-the rest of the chunk.  The states are therefore exactly those of one
-sequential run, whatever the chunk length.
+position, from each of a few guessed start states.  Every chunk but the
+first starts its guesses' runs a few positions early, over the last inputs
+of the chunk before it, so that runs which couple within those positions
+reach the chunk start in the true state already (warm-up).  The
+speculative runs are stored time-major, step t of every guess and chunk in
+one contiguous row, in the smallest unsigned dtype that holds the
+machine's state count; the live states and the caller's tables stay int64.
+The seams are then repaired in order.  A chunk whose true start state is
+the state one of its runs holds at the chunk start is already right.
+Otherwise it reruns with the exact per-position loop from its true start
+state, over slices of doubling width, until a slice ends in a state that a
+speculative run of the chunk holds at that index.  From there both runs
+read the same input from the same state, so that run is right for the
+rest of the chunk.  The states are therefore exactly those of one
+sequential run, whatever the chunk length and the warm-up.
 
 A seam whose runs never meet costs its whole chunk twice.  So after each
 block the chunk length grows fourfold when more than half of the block
@@ -64,7 +68,9 @@ def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling:
         if size // length < _MIN_CHUNKS:
             out = _run_through(read, pos, size, state, run, dtype)
         else:
-            out, rerun = _lockstep(read, pos, size, state, length, advance, run, guesses, dtype)
+            warm = min(coupling, length // 4)
+            out, rerun = _lockstep(read, pos, size, state, length, advance, run, guesses, dtype,
+                                   warm)
             if 2 * rerun > size:
                 length *= 4
         yield out
@@ -88,14 +94,17 @@ def _run_through(read, pos: int, size: int, state: int, run, dtype) -> np.ndarra
 def _first_length(size: int, coupling: int) -> int:
     """The first block's chunk length: at least `coupling`, and at least
     the square root of the block size, where the per-step cost of the
-    lockstep run and the per-seam cost of the repair balance."""
+    lockstep run and the per-seam cost of the repair balance.  The
+    warm-up before each chunk is then `coupling` steps, or a quarter of
+    the chunk when that is shorter."""
     return max(coupling, math.isqrt(size))
 
 
 def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
-              guesses: tuple, dtype):
+              guesses: tuple, dtype, warm: int):
     """The state after every one of the `size` positions from `pos` on,
-    from `state`, and the number of positions rerun at seams."""
+    from `state`, and the number of positions rerun at seams.  The runs of
+    every chunk but the first start `warm` (< length) positions early."""
     chunks = size // length
     whole = chunks * length
     grid = read(pos, whole).reshape(chunks, length)
@@ -103,7 +112,13 @@ def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
     # guess g; the repair makes spec[:, 0] the answer
     spec = np.empty((length, len(guesses), chunks), dtype=dtype)
     cur = np.repeat(np.array(guesses, dtype=np.int64)[:, None], chunks, axis=1)
+    later = cur[:, 1:]
+    for t in range(length - warm, length):
+        later = advance(later, grid[:-1, t])
+    cur[:, 1:] = later
     cur[:, 0] = state
+    # start[c][g]: the state chunk c's run from guess g starts the chunk in
+    start = cur.T.tolist()
     for t in range(length):
         cur = advance(cur, grid[:, t])
         spec[t] = cur
@@ -112,7 +127,7 @@ def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
     for c in range(1, chunks):
         own = spec[:, :, c]  # the chunk's runs, (position in the chunk, guess)
         state = int(spec[-1, 0, c - 1])
-        met = guesses.index(state) if state in guesses else -1
+        met = start[c].index(state) if state in start[c] else -1
         lo, width = 0, _FIRST_SLICE
         while met < 0 and lo < length:
             end = min(lo + width, length)

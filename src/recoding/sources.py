@@ -39,6 +39,11 @@ _STATIONARY_TOL = 1e-12
 _POWER_STEPS = 4096
 _DECAY_WINDOW = 256
 
+# The sampler's guide table holds at most this many cells (contexts times
+# buckets), 512 kB per column: tables of up to 2^20 cells made `frag-decompose`
+# slower and larger, not faster.
+_GUIDE_CELLS = 1 << 16
+
 _LABEL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -350,10 +355,18 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     first y with u < P(0|c) + ... + P(y|c) for the current context c.  The
     output is a function of (kernel, n, seed) alone: it does not depend on
     how the uniforms are drawn in blocks or how the run is cut into chunks
-    (`lockstep.run_states`).  Speculative chunks start from the two most
-    probable contexts and meet the true run where two chains that share
-    uniforms couple; slowly mixing chains can linger near the most
-    probable context, and the second start covers the rest of the time.
+    (`lockstep.run_states`).
+
+    A lockstep step finds each run's symbol through a guide table (Chen &
+    Asau 1974): the uniform's bucket of [0, 1) fixes the symbol up to the
+    few cumulative bounds inside that bucket, so a step compares against
+    those alone rather than against all A - 1 bounds.  The bucket count
+    is read off the kernel (`_guide_buckets`).
+
+    Speculative chunks start from the two most probable contexts and meet
+    the true run where two chains that share uniforms couple.  Slowly
+    mixing chains can linger near the most probable context, even for
+    whole chunks, and the second start covers the rest of the time.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -374,14 +387,18 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
 
     states = a**k
     rows = cum.tolist()
-    # a context's successor on symbol 0; symbol y adds y, the number of
-    # cumulative probabilities at or below u other than the last
-    shifted = np.ascontiguousarray(_successors(kernel)[:, 0])
-    bounds = [np.ascontiguousarray(col) for col in cum.T[:-1]]
+    buckets = _guide_buckets(cum)
+    nextlo, inside = _guide_table(cum, buckets)
+    # each cell's successor on its least symbol; the symbol u draws adds
+    # the number of bounds inside the cell at or below u
+    nextlo += np.repeat(_successors(kernel)[:, 0], buckets)
 
     def advance(ctx: np.ndarray, us: np.ndarray) -> np.ndarray:
-        nxt = shifted[ctx]
-        for bound in bounds:
+        if buckets > 1:
+            ctx = ctx * buckets
+            ctx += (us * buckets).astype(np.int64)  # exact: a power of two
+        nxt = nextlo[ctx]
+        for bound in inside:
             nxt += bound[ctx] <= us
         return nxt
 
@@ -409,6 +426,62 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
         np.remainder(block, a, out=out[pos : pos + len(block)], dtype=np.int64, casting="unsafe")
         pos += len(block)
     return out
+
+
+def _guide_buckets(cum: np.ndarray) -> int:
+    """The guide table's bucket count B for a (contexts, A) table of
+    cumulative rows: the power of two whose lockstep step makes the fewest
+    numpy calls.  With B = 1 a step is a gather and three calls per bound,
+    3(A - 1); with B > 1 it is three calls to find the cell and three per
+    bound in the fullest cell.  Only alphabets of 4 or more symbols can
+    gain, and B stays within 8A and within `_GUIDE_CELLS` cells."""
+    contexts, a = cum.shape
+    best, fewest = 1, 3 * (a - 1)
+    buckets = 2
+    while a >= 4 and buckets <= 8 * a and contexts * buckets <= _GUIDE_CELLS:
+        cells = _inner_bounds(cum, buckets)[2]
+        calls = 3 * np.bincount(cells).max(initial=0) + 3
+        if calls < fewest:
+            best, fewest = buckets, calls
+        buckets *= 2
+    return best
+
+
+def _inner_bounds(cum: np.ndarray, buckets: int):
+    """The bounds cum[:, :-1] that lie strictly inside a bucket
+    (b/B, (b + 1)/B) of [0, 1): their rows, their columns, and their
+    cells, row * B + b."""
+    scaled = cum[:, :-1] * buckets  # exact: B is a power of two
+    low = np.floor(scaled)
+    rows, cols = np.nonzero((scaled > low) & (low < buckets))
+    return rows, cols, rows * buckets + low[rows, cols].astype(np.int64)
+
+
+def _guide_table(cum: np.ndarray, buckets: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The guide table of a (contexts, A) table of cumulative rows, with
+    `buckets` (a power of two, B) buckets of [0, 1) per row.
+
+    For row c and bucket b, cell c * B + b: lo[cell] is the number of the
+    row's bounds cum[c, :-1] at or below b/B, and inside[j][cell] its j-th
+    bound strictly inside the bucket, inf where there are fewer.  For u in
+    the bucket, the number of bounds at or below u, which is the symbol u
+    draws, is lo[cell] plus the number of inside[j][cell] <= u: the bounds
+    at or above (b + 1)/B are all above u.  With B = 1 and no bound at 0
+    or 1, lo is 0 and inside holds the columns of cum[:, :-1].
+    """
+    contexts = len(cum)
+    # the first bucket whose low edge is at or above each bound; the bound
+    # counts in lo from there on
+    first = np.minimum(np.ceil(cum[:, :-1] * buckets), buckets).astype(np.int64)
+    first += np.arange(contexts)[:, None] * (buckets + 1)
+    lo = np.bincount(first.ravel(), minlength=contexts * (buckets + 1))
+    lo = lo.reshape(contexts, buckets + 1)[:, :buckets].cumsum(axis=1).ravel()
+    rows, cols, cells = _inner_bounds(cum, buckets)
+    # a row's bounds ascend, so a bucket's inner bounds follow the lo below it
+    rank = cols - lo[cells]
+    inside = np.full((rank.max(initial=-1) + 1, contexts * buckets), np.inf)
+    inside[rank, cells] = cum[rows, cols]
+    return lo, list(inside)
 
 
 def window_law(kernel: TransitionKernel, length: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import recoding as r
 import recoding.cli as cli
+import recoding.fragmentation as fragmentation
 import recoding.tokenizer as tokenizer
 from recoding.cli import main
 from recoding.demo_text import synthesize_corpus
@@ -90,6 +91,25 @@ class TestFragDecompose:
             assert float(by_w[w][5]) == pytest.approx(g["fragmented_loss"], abs=1e-9)
             assert float(by_w[w][6]) == pytest.approx(g["context_deficit"], abs=1e-9)
             assert float(by_w[w][7]) == pytest.approx(g["phase_ambiguity"], abs=1e-9)
+
+    def test_fragments_each_sequence_once(self, runner, tmp_path, monkeypatch):
+        """One fragmentation per (pair, seed) serves both windows."""
+        calls = []
+        original = fragmentation.fragment
+
+        def counted(fmap, seq):
+            calls.append(len(seq))
+            return original(fmap, seq)
+
+        monkeypatch.setattr(fragmentation, "fragment", counted)
+        monkeypatch.setattr(cli, "fragment", counted)
+        result = runner.invoke(main, [
+            "frag-decompose", "--pairs", "1:2,2:2", "--kernels-per-pair", "2",
+            "--n", "5000", "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert calls == [5000] * 4
+        _, rows, _ = read_csv(tmp_path / "decomposition.csv")
+        assert len(rows) == 8
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         args = ["frag-decompose", "--pairs", "1:2", "--kernels-per-pair", "1",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import recoding as r
 import recoding.lockstep as lockstep
+import recoding.sources as sources
 from oracles import oracle_capped_stationary, oracle_parse_loop, oracle_sample_loop
 from recoding.cli import main
 from recoding.demo_text import synthesize_corpus
@@ -59,9 +60,17 @@ def cycle_kernel(order: int) -> r.TransitionKernel:
     return r.TransitionKernel(r.Alphabet.of_size(2), order, probs)
 
 
-def check_sample(kernel, n, seed):
+def dyadic_kernel(a: int, order: int, seed: int) -> r.TransitionKernel:
+    """Rows of multiples of 1/16, so that every cumulative bound lies on
+    the edge of a bucket of 16 or more, and many rows repeat a bound."""
+    rng = generator(seed, 94)
+    counts = rng.multinomial(16, np.full(a, 1 / a), size=a**order)
+    return r.TransitionKernel(r.Alphabet.of_size(a), order, counts / 16)
+
+
+def check_sample(kernel, n, seed, chunk_lengths=lengths):
     expected = oracle_sample_loop(kernel, n, seed)
-    for length in lengths(n):
+    for length in chunk_lengths(n):
         with chunk_length(length):
             got = r.sample_sequence(kernel, n, seed)
         assert got.dtype == np.int32
@@ -140,6 +149,89 @@ class TestSampleMatchesLoop:
         assert seen[:4] == [64, 256, 1024, 4096]
 
 
+class TestWarmUp:
+    """Every chunk but the first starts its runs min(coupling, length // 4)
+    positions early; chunks of 4 or more positions have a warm-up."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), a=st.integers(2, 4), order=st.integers(1, 4),
+           alpha=st.sampled_from([0.1, 0.5, 2.0]), n=st.integers(4, 600),
+           length=st.integers(4, 64))
+    def test_dirichlet_chains(self, seed, a, order, alpha, n, length):
+        check_sample(r.sample_kernel(a, order, alpha, seed), n, seed, lambda n: [length])
+
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_chains_that_never_couple(self, order):
+        check_sample(cycle_kernel(order), 2000, order, lambda n: [4, 5, 17, 64, 333])
+
+    def test_warm_up_cuts_seam_reruns(self, monkeypatch):
+        """The same block of an order-6 chain, 256 chunks of 256 positions,
+        with and without the warm-up: the same states, and fewer positions
+        rerun at the seams with it."""
+        kernel = r.sample_kernel(2, 6, 0.4, 6)
+        machine = {}
+
+        def capture(n, read, state, advance, run, guesses, coupling, states):
+            machine.update(advance=advance, run=run, guesses=guesses, coupling=coupling)
+            return iter(())
+
+        monkeypatch.setattr(sources, "run_states", capture)
+        r.sample_sequence(kernel, 1, 6)
+        us = generator(6, 95).random(2**16)
+        length = 256
+        runs = [lockstep._lockstep(lambda pos, size: us[pos : pos + size], 0, us.size, 0, length,
+                                   machine["advance"], machine["run"], machine["guesses"],
+                                   np.uint8, warm)
+                for warm in (0, min(machine["coupling"], length // 4))]
+        (cold, cold_rerun), (warm, warm_rerun) = runs
+        assert np.array_equal(cold, warm)
+        assert warm_rerun < cold_rerun
+
+
+class TestGuideTable:
+    """A lockstep sampling step reads each run's symbol off a guide table
+    of B buckets per context; every B gives the sequential loop's draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), a=st.sampled_from([2, 3, 4, 16, 256, 300]),
+           buckets=st.sampled_from([1, 2, 4, 16, 64, 1024]), dyadic=st.booleans())
+    def test_table_counts_the_bounds_at_or_below_u(self, seed, a, buckets, dyadic):
+        """At every bucket edge, every bound and the floats either side of
+        each, the table's count is searchsorted's."""
+        kernel = dyadic_kernel(a, 1, seed) if dyadic else r.sample_kernel(a, 1, 0.5, seed)
+        cum = np.cumsum(kernel.probs, axis=1)
+        cum[:, -1] = 1.0
+        lo, inside = sources._guide_table(cum, buckets)
+        edges = np.arange(buckets) / buckets
+        for c in range(0, a, max(a // 16, 1)):
+            us = np.concatenate([edges, cum[c, :-1]])
+            us = np.concatenate([us, np.nextafter(us, 0), np.nextafter(us, 1)])
+            us = us[(us >= 0) & (us < 1)]
+            cell = c * buckets + (us * buckets).astype(np.int64)
+            got = lo[cell] + sum((bound[cell] <= us).astype(np.int64) for bound in inside)
+            assert np.array_equal(got, np.searchsorted(cum[c, :-1], us, side="right"))
+
+    @pytest.mark.parametrize("buckets", [1, 2, 16, 128])
+    @pytest.mark.parametrize("kernel", [
+        dyadic_kernel(4, 2, 1), dyadic_kernel(16, 1, 2), dyadic_kernel(300, 1, 3),
+        r.sample_kernel(3, 2, 0.5, 4), r.sample_kernel(16, 2, 0.5, 5),
+    ], ids=["dyadic4", "dyadic16", "dyadic300", "dirichlet3", "dirichlet16"])
+    def test_sample_with_each_bucket_count(self, monkeypatch, kernel, buckets):
+        monkeypatch.setattr(sources, "_guide_buckets", lambda cum: buckets)
+        check_sample(kernel, 700, buckets, lambda n: [19, 64])
+
+    def test_bucket_count_read_off_the_kernel(self, monkeypatch):
+        """Uniform rows over 16 symbols put every bound on an edge of 16
+        buckets, so a step is the cell lookup alone; alphabets under 4
+        symbols and a table over the cell budget keep one bucket."""
+        uniform = np.cumsum(np.full((16, 16), 1 / 16), axis=1)
+        assert sources._guide_buckets(uniform) == 16
+        assert sources._guide_table(uniform, 16)[1] == []
+        assert sources._guide_buckets(np.cumsum(np.full((4, 2), 1 / 2), axis=1)) == 1
+        monkeypatch.setattr(sources, "_GUIDE_CELLS", 31)
+        assert sources._guide_buckets(uniform) == 1
+
+
 class TestParseMatchesLoop:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), a=st.integers(2, 4), n=st.integers(1, 400),
@@ -206,12 +298,15 @@ class TestCompactStates:
                 out.append(state)
             return out
 
+        # coupling 1 warms each chunk up by one position, a huge one by a quarter
         for length in lengths(len(xs)):
-            with chunk_length(length):
-                blocks = list(lockstep.run_states(len(xs), lambda pos, size: xs[pos : pos + size],
-                                                  0, advance, run, (0, states - 1), 1, states))
-            assert all(block.dtype == dtype for block in blocks)
-            assert np.array_equal(np.concatenate(blocks), expected), length
+            for coupling in (1, 10**6):
+                with chunk_length(length):
+                    blocks = list(lockstep.run_states(
+                        len(xs), lambda pos, size: xs[pos : pos + size], 0, advance, run,
+                        (0, states - 1), coupling, states))
+                assert all(block.dtype == dtype for block in blocks)
+                assert np.array_equal(np.concatenate(blocks), expected), (length, coupling)
 
 
 def digest(data: bytes) -> str:
