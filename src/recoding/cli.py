@@ -68,7 +68,7 @@ from .spans import (
     worst_case_span,
 )
 from .tokenizer import PrefixVocabulary, greedy_parse, train_vocabularies
-from .transfer import TransferredPredictor, TypicalPredictor, compare_losses
+from .transfer import TransferredPredictor, compare_losses
 
 _CONFIG_ERRORS = (
     ParameterError,
@@ -135,6 +135,10 @@ def _number(v):  # an int stays an int, so that a config's 2 and 2.0 hash as wri
     return _check(isinstance(v, (int, float)) and not isinstance(v, bool), v, "a number")
 
 
+def _fraction(v):
+    return _check(0 < _number(v) < 1, v, "a number in (0, 1)")
+
+
 def _text(v):
     return _check(isinstance(v, str), v, "a string")
 
@@ -189,6 +193,7 @@ def _list_of(item, what: str, split=None, empty_ok: bool = False):
 
 
 _ints = _list_of(_int, "integers", split=int)
+_seeds = _list_of(_count, "integers >= 0", split=int)
 _windows = _list_of(_positive, "integers >= 1", split=int)
 _pairs = _list_of(_pair, "k:M pairs", split=lambda s: [int(x) for x in s.split(":")])
 _specs = _list_of(_spec, "tokenizer specs")
@@ -242,7 +247,7 @@ def _source_keys(order: int, dirichlet_alpha: float, n: int):
 def _common_keys(seeds=(0,)):
     return _options(
         click.option("--config", "config_path", type=click.Path()),
-        _key("--seed", "seeds", type=int, multiple=True, default=seeds, parse=_ints),
+        _key("--seed", "seeds", type=int, multiple=True, default=seeds, parse=_seeds),
         _key("--output-dir", default="out", parse=_text),
     )
 
@@ -422,7 +427,7 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
 
 @main.command("tok-train")
 @_source_keys(order=12, dirichlet_alpha=0.4, n=25_000_000)
-@_key("--train-prefix", type=int, default=500_000, parse=_int)
+@_key("--train-prefix", type=int, default=500_000, parse=_count)
 @_key("--sizes", default="2,4,6,8,10,15,20", parse=_ints,
       help=f"comma list of vocabulary sizes; {_SIZE_RULE}")
 @_common_keys()
@@ -470,10 +475,10 @@ def run_tok_train(config: ExperimentConfig) -> None:
            "least their number; with --vocab nothing is trained")
 @_key("--vocab", "vocab_files", multiple=True, type=click.Path(), default=(), parse=_files,
       help="externally produced vocabulary JSON (repeatable)")
-@_key("--train-prefix", type=int, default=500_000, parse=_int)
+@_key("--train-prefix", type=int, default=500_000, parse=_count)
 @_key("--windows", default="1,2,4,8,12", parse=_windows,
       help="comma list of token-window lengths")
-@_key("--span-max-mult", type=int, default=20, parse=_int,
+@_key("--span-max-mult", type=int, default=20, parse=_positive,
       help="sweep w_s up to this multiple of w")
 @_common_keys()
 @_command
@@ -559,8 +564,8 @@ def run_span_cdf(config: ExperimentConfig) -> None:
 @_key("--window", "windows", type=int, multiple=True, default=(4,), parse=_windows)
 @_key("--ws", type=int, default=None, parse=_count,
       help="source context; default = empirical minimum span")
-@_key("--eta", type=float, default=1e-6, parse=_number)
-@_key("--train-prefix", type=int, default=None, parse=_int)
+@_key("--eta", type=float, default=1e-6, parse=_fraction)
+@_key("--train-prefix", type=int, default=None, parse=_count)
 @_common_keys()
 @_command
 def transfer_check_cmd(cfg):
@@ -603,10 +608,8 @@ def run_transfer_check(config: ExperimentConfig) -> None:
                     ws = worst_case_span(stream, w)
                 q = optimal_predictor(kernel, ws).smoothed(eta)
                 target = conditional_entropy(kernel, ws)
-                # gated at ws = q.w, the typical predictor's losses are the
-                # transferred predictor's, so one evaluation serves both
                 tp = TransferredPredictor(q, vocab, w)
-                bd = TypicalPredictor(tp, ws).token_log_losses(stream)
+                bd = tp.token_log_losses(stream)
                 report = compare_losses(tp, seq, bd)
                 report.update({
                     "seed": seed, "tokenizer": name, "w": w, "ws": ws,
@@ -652,7 +655,7 @@ def run_transfer_check(config: ExperimentConfig) -> None:
 @_key("--budgets", default="16,64,256,1024", parse=_ints,
       help=f"comma list of dictionary budgets; {_SIZE_RULE}")
 @_key("--window", type=int, default=4, parse=_positive)
-@_key("--eta-transfer", type=float, default=1e-6, parse=_number)
+@_key("--eta-transfer", type=float, default=1e-6, parse=_fraction)
 @_common_keys()
 @_command
 def heavy_hitting_cmd(cfg):
@@ -694,8 +697,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
             if w_d >= 1 and eta_hat < 1.0:
                 target = conditional_entropy(kernel, w_d)
                 q = optimal_predictor(kernel, w_d).smoothed(config.params["eta_transfer"])
-                typ = TypicalPredictor(TransferredPredictor(q, vocab, w), w_d)
-                bd = typ.token_log_losses(stream)
+                bd = TransferredPredictor(q, vocab, w).token_log_losses(stream)
                 bound = target + 4 * eta_hat * math.log2(d) / (
                     (1 - eta_hat) * report.ell_d + eta_hat)
                 payload["end_to_end"] = {

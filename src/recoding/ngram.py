@@ -1,15 +1,12 @@
 """Finite-context conditional tables and the log-losses read from them.
 
-A `ContextPredictor` over w-symbol contexts stores q(y|c) as one
-(rows, A) float matrix.  With no `codes` the matrix is dense with A**m
-rows, m <= w: the predictor reads only the last m symbols of each
-context, and row c is the length-m context whose base-A code is c.
-Otherwise `codes` is a sorted int64 array naming each row's w-symbol
-context, and a context without a row gets the uniform distribution.
-Exact predictors derived from an order-k kernel are dense with
-m = min(w, k); fitted ones keep a row for each context seen in training.
-Context codes follow the same convention as `sources`: oldest symbol
-most significant.
+A `ContextPredictor` over w-symbol contexts stores q(y|c) as one dense
+(A**m, A) float table, m <= w: the predictor reads only the last m
+symbols of each context, and row c is the law after the length-m context
+whose base-A code is c.  Exact predictors derived from an order-k kernel
+have m = min(w, k); fitted ones have m = w, and a context the training
+sequence never holds gets the uniform row.  Context codes follow the
+same convention as `sources`: oldest symbol most significant.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DataError, ParameterError
-from .sources import Alphabet, TransitionKernel, encode_corpus, window_law
+from .sources import DEFAULT_TABLE_BUDGET, Alphabet, TransitionKernel, encode_corpus, window_law
 
 _CODE_LIMIT = 1 << 62
 
@@ -47,49 +44,35 @@ def window_codes(seq: np.ndarray, w: int, alphabet_size: int) -> np.ndarray:
 
 
 class ContextPredictor:
-    """Conditional model q(y|c) for contexts of a fixed length w: the rows
-    of `table`, dense when `codes` is None, else one row per w-symbol
-    context in the sorted int64 array `codes`.  A dense table of A**m
-    rows, m <= w, reads only the last m symbols of each context."""
+    """Conditional model q(y|c) for contexts of a fixed length w: row c of
+    the dense (A**m, A) `table`, m <= w, is the law after the last m
+    symbols of a context, whose base-A code is c."""
 
-    def __init__(self, alphabet: Alphabet, w: int, table: np.ndarray,
-                 codes: np.ndarray | None = None):
+    def __init__(self, alphabet: Alphabet, w: int, table: np.ndarray):
         if w < 0:
             raise ParameterError("context length must be >= 0")
+        a = alphabet.size
+        self.m = next((m for m in range(w) if a**m >= len(table)), w)
+        if table.shape != (a**self.m, a):
+            raise ParameterError(f"table of shape {table.shape} is not (A**m, A) with m <= {w}")
         self.alphabet = alphabet
         self.w = w
         self.table = table
-        self.codes = codes
 
     def context_codes(self, seq) -> np.ndarray:
         """The code of the context each position after the first w reads,
         n - w + 1 entries for an n-symbol seq: entry j codes the symbols of
         seq[j : j + w] the table reads, so it serves position j + w (the
         last entry, the position after seq).  `rows_for` takes these codes."""
-        a = self.alphabet.size
-        m = self.w if self.codes is not None else round(math.log(len(self.table), a))
-        return window_codes(seq[self.w - m :], m, a)
+        return window_codes(seq[self.w - self.m :], self.m, self.alphabet.size)
 
     def rows_for(self, codes: np.ndarray) -> np.ndarray:
         """Probability rows for an array of context codes, shape (len, A)."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if self.codes is None:
-            return self.table[codes]
-        at = np.searchsorted(self.codes, codes)
-        hit = at < self.codes.size
-        hit[hit] = self.codes[at[hit]] == codes[hit]
-        out = np.full((codes.size, self.alphabet.size), 1.0 / self.alphabet.size)
-        out[hit] = self.table[at[hit]]
-        return out
+        return self.table[np.asarray(codes, dtype=np.int64)]
 
     def positivity_floor(self) -> float:
         """Smallest probability the predictor can ever emit."""
-        if self.codes is None:
-            return float(self.table.min())
-        floor = float(self.table.min(initial=math.inf))
-        if self.codes.size < self.alphabet.size**self.w:
-            floor = min(floor, 1.0 / self.alphabet.size)
-        return floor
+        return float(self.table.min())
 
     def smoothed(self, eta: float) -> "ContextPredictor":
         """Every row mixed with the uniform distribution:
@@ -97,7 +80,7 @@ class ContextPredictor:
         if not 0 < eta < 1:
             raise ParameterError("eta must lie in (0, 1)")
         table = (1.0 - eta) * self.table + eta / self.alphabet.size
-        return ContextPredictor(self.alphabet, self.w, table, self.codes)
+        return ContextPredictor(self.alphabet, self.w, table)
 
 
 def rank_codes(codes: np.ndarray, space: int, index: bool = False):
@@ -120,8 +103,7 @@ def rank_codes(codes: np.ndarray, space: int, index: bool = False):
 def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None):
     """Validate `fit`'s arguments and count every (context, next symbol):
     (alphabet, sequence length, sorted distinct codes context * A + symbol,
-    their counts, the distinct contexts, and the row of each code's
-    context among them)."""
+    their counts)."""
     if w < 0:
         raise ParameterError("w must be >= 0")
     if laplace_alpha < 0:
@@ -130,22 +112,29 @@ def _count_table(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | No
     a = alphabet.size
     # a (w+1)-window's code is its context's code times A plus its symbol
     codes, _, counts = rank_codes(window_codes(seq, w + 1, a), a ** (w + 1))
-    # the codes are sorted, so each context's codes are one run
-    ctx = codes // a
-    new = np.ones(ctx.size, dtype=bool)
-    np.not_equal(ctx[1:], ctx[:-1], out=new[1:])
-    return alphabet, len(seq), codes, counts, ctx[new], np.cumsum(new) - 1
+    return alphabet, len(seq), codes, counts
+
+
+def _conditional(mass: np.ndarray, laplace_alpha: float) -> np.ndarray:
+    """Rows of q(y|c) = (mass(c,y) + a) / (mass(c) + a*|Y|) from a (contexts,
+    A) table of masses; a context of zero mass gets the uniform row."""
+    totals = mass.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0, totals + laplace_alpha * mass.shape[1], 1.0)
+    return np.where(totals > 0, (mass + laplace_alpha) / safe, 1.0 / mass.shape[1])
 
 
 def fit(sequence, w: int, laplace_alpha: float, alphabet: Alphabet | None = None) -> ContextPredictor:
-    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass,
-    with a row for each context the sequence holds."""
-    alphabet, _, codes, cnt, contexts, row = _count_table(sequence, w, laplace_alpha, alphabet)
+    """Fit q(y|c) = (count(c,y) + a) / (count(c) + a*|Y|) from one pass over
+    all A**w contexts, those the sequence never holds uniform.  A table of
+    more than `DEFAULT_TABLE_BUDGET` entries is a CapacityError."""
+    alphabet, _, codes, counts = _count_table(sequence, w, laplace_alpha, alphabet)
     a = alphabet.size
-    table = np.zeros((contexts.size, a))
-    table[row, codes % a] = cnt
-    table = (table + laplace_alpha) / (table.sum(axis=1, keepdims=True) + laplace_alpha * a)
-    return ContextPredictor(alphabet, w, table, contexts)
+    if a ** (w + 1) > DEFAULT_TABLE_BUDGET:
+        raise CapacityError(f"a {w}-symbol context table over {a} symbols needs "
+                            f"{a ** (w + 1)} entries (budget {DEFAULT_TABLE_BUDGET})")
+    mass = np.zeros(a ** (w + 1))
+    mass[codes] = counts
+    return ContextPredictor(alphabet, w, _conditional(mass.reshape(-1, a), laplace_alpha))
 
 
 def in_sample_log_loss(sequence, w: int, laplace_alpha: float,
@@ -156,10 +145,11 @@ def in_sample_log_loss(sequence, w: int, laplace_alpha: float,
     but is read straight off the count table, as
     -sum count(c,y) * log2 q(y|c) / (n - w), without building a predictor.
     """
-    alphabet, n, _, cnt, _, row = _count_table(sequence, w, laplace_alpha, alphabet)
+    alphabet, n, codes, cnt = _count_table(sequence, w, laplace_alpha, alphabet)
     if n <= w:
         raise DataError("sequence must be longer than the context length")
     a = alphabet.size
+    row = np.unique(codes // a, return_inverse=True)[1]
     totals = np.bincount(row, weights=cnt)[row]
     q = (cnt + laplace_alpha) / (totals + laplace_alpha * a)
     return float(-np.sum(cnt * np.log2(q)) / (n - w))
@@ -195,8 +185,5 @@ def optimal_predictor(kernel: TransitionKernel, w: int) -> ContextPredictor:
     by the stationary process).
     """
     a = kernel.alphabet_size
-    table = window_law(kernel, min(w, kernel.order) + 1).reshape(-1, a)
-    totals = table.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    dense = np.where(totals > 0, table / safe, 1.0 / a)
-    return ContextPredictor(kernel.alphabet, w, dense)
+    mass = window_law(kernel, min(w, kernel.order) + 1).reshape(-1, a)
+    return ContextPredictor(kernel.alphabet, w, _conditional(mass, 0.0))

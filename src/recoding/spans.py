@@ -24,14 +24,9 @@ from .tokenizer import TokenSequence, expand
 
 def _window_spans(stream: TokenSequence, w: int) -> np.ndarray:
     """Spans of all length-w sliding windows, the first w tokens dropped."""
-    if w < 1:
-        raise ParameterError("window length must be >= 1")
-    ids = stream.ids
-    if len(ids) - w < w:
+    if len(stream) < 2 * w:
         raise DataError(f"stream too short for {w}-token windows")
-    lens = stream.vocab.lengths[ids[w:]]
-    cs = np.concatenate([[0], np.cumsum(lens)])
-    return cs[w:] - cs[:-w]
+    return stream.window_spans(w)[w:]
 
 
 @dataclass
@@ -70,7 +65,7 @@ def compression_stats(stream: TokenSequence) -> tuple[float, float]:
     if len(stream.ids) == 0:
         raise DataError("empty token stream")
     vocab = stream.vocab
-    alpha = float(vocab.lengths[stream.ids].mean())
+    alpha = float(stream.offsets[-1] / len(stream))
     rate = math.log2(vocab.size) / (alpha * math.log2(vocab.alphabet.size))
     return alpha, rate
 

@@ -147,11 +147,29 @@ class PrefixVocabulary:
 
 @dataclass
 class TokenSequence:
+    """The token ids of a parse and the vocabulary they index."""
+
     vocab: PrefixVocabulary
     ids: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each token starts in the source, then the source length:
+        m + 1 int64 entries for m tokens, token i spanning source symbols
+        offsets[i] to offsets[i + 1]."""
+        out = np.zeros(len(self.ids) + 1, dtype=np.int64)
+        np.cumsum(self.vocab.lengths[self.ids], out=out[1:])
+        return out
+
+    def window_spans(self, w: int) -> np.ndarray:
+        """The source span of each run of w consecutive tokens: entry j
+        covers tokens j .. j + w - 1, m - w + 1 entries in all."""
+        if w < 1:
+            raise ParameterError("window length must be >= 1")
+        return self.offsets[w:] - self.offsets[:-w]
 
 
 def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:

@@ -119,13 +119,10 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
 
     y = expand(vocab, ids)
     n = len(y)
-    lens = vocab.lengths[ids]
-    ends = np.cumsum(lens)
-    starts = ends - lens
 
     ii = np.arange(w, m - 1)
-    spans = starts[ii] - starts[ii - w]
-    valid = spans >= gate
+    # the span of the w tokens before each evaluated one
+    valid = stream.window_spans(w)[: m - 1 - w] >= gate
 
     # greedy maximality: the first symbol of a token never extends its
     # predecessor, otherwise the parse would have kept growing
@@ -141,8 +138,8 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
         cum = np.concatenate([[0.0], np.cumsum(np.log2(pos_probs))])
 
         vi = ii[valid]
-        s_idx = starts[vi] - ws
-        e_idx = ends[vi] - ws
+        s_idx = stream.offsets[vi] - ws
+        e_idx = stream.offsets[vi + 1] - ws
         seqlog = cum[e_idx] - cum[s_idx]
         stop = 1.0 - np.einsum("ij,ij->i", rows[e_idx], ext[ids[vi]].astype(np.float64))
         den = 1.0 - np.einsum("ij,ij->i", rows[s_idx], ext[ids[vi - 1]].astype(np.float64))
@@ -155,7 +152,7 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
         losses=losses,
         valid=valid,
         stops=stops,
-        alpha=float(lens.mean()),
+        alpha=float(stream.offsets[-1] / m),
     )
 
 

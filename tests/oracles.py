@@ -314,9 +314,7 @@ def oracle_next_token_distribution(tp, context_ids) -> np.ndarray:
     if len(history) < q.w:
         return np.full(vocab.size, 1.0 / vocab.size)
     a = vocab.alphabet.size
-    # a fitted table reads all q.w symbols, a dense one of A^m rows the last m
-    m = q.w if q.codes is not None else round(math.log(len(q.table), a))
-    assert q.codes is not None or a**m == len(q.table)
+    m = q.m  # the table reads the last m symbols
 
     def row(symbols: tuple) -> np.ndarray:
         code = 0

@@ -479,6 +479,14 @@ class TestBadInput:
         # checked before any pair runs, so no artifact of 1:2 is written
         (["frag-decompose", "--pairs", "1:2,1:0"], None, "M >= 1, got pair 1:0"),
         (["frag-decompose", "--pairs", "1:2,-1:2"], None, "order k >= 0 and block length"),
+        (["gen-source", "--seed", "-1"], None, "--seed"),
+        (["gen-source"], {"seeds": [-1]}, "'seeds'"),
+        (["tok-train", "--train-prefix", "-5"], None, "--train-prefix"),
+        (["span-cdf", "--span-max-mult", "0"], None, "--span-max-mult"),
+        (["span-cdf", "--span-max-mult", "-3"], None, "--span-max-mult"),
+        (["transfer-check", "--eta", "0"], None, "--eta: expected a number in (0, 1)"),
+        (["heavy-hitting", "--n", "1000", "--budgets", "4", "--eta-transfer", "2"], None,
+         "--eta-transfer"),
     ])
     def test_exit_2_naming_the_key_or_flag(self, runner, tmp_path, argv, config, named):
         if config is not None:

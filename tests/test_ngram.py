@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoding as r
+from recoding import ngram
 from recoding.ngram import _count_table, rank_codes, window_codes
 from oracles import (oracle_count_table, oracle_dense_predictor, oracle_fit, oracle_log_loss,
                      oracle_window_law)
@@ -57,6 +58,12 @@ class TestFit:
         pred = r.fit(seq, 3, 0.5, binary)
         for code in range(8):
             assert pred.rows_for([code])[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_table_over_budget(self, binary, monkeypatch):
+        monkeypatch.setattr(ngram, "DEFAULT_TABLE_BUDGET", 2**4)
+        assert r.fit("0110", 3, 0.5, binary).table.size == 2**4
+        with pytest.raises(r.CapacityError):
+            r.fit("0110", 4, 0.5, binary)
 
     def test_positivity_floor(self, binary):
         seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 2), 1000, 3)
@@ -160,7 +167,7 @@ class TestCountTable:
     def test_matches_sort(self, a, w, n, counted):
         assert (a ** (w + 1) <= 2 * (n - w)) == counted
         seq = np.random.default_rng(a * 100 + w).integers(0, a, size=n).astype(np.int32)
-        _, _, codes, counts, _, _ = _count_table(seq, w, 0.5, r.Alphabet.of_size(a))
+        _, _, codes, counts = _count_table(seq, w, 0.5, r.Alphabet.of_size(a))
         want_codes, want_counts = oracle_count_table(seq, w, a)
         for got, want in ((codes, want_codes), (counts, want_counts)):
             assert got.dtype == want.dtype

@@ -207,6 +207,38 @@ class TestExpand:
         assert len(r.expand(fig_vocab, [])) == 0
 
 
+class TestOffsets:
+    """`offsets` and `window_spans` against a per-token loop over entries."""
+
+    def check(self, stream):
+        vocab = stream.vocab
+        want = [0]
+        for tid in stream.ids.tolist():
+            want.append(want[-1] + len(vocab.entries[tid]))
+        assert stream.offsets.dtype == np.int64
+        assert stream.offsets.tolist() == want
+        assert r.compression_stats(stream)[0] == vocab.lengths[stream.ids].mean()
+        m = len(stream)
+        for w in sorted({1, 2, 4, 12, m, m + 1}):
+            spans = [want[j + w] - want[j] for j in range(m - w + 1)]
+            assert stream.window_spans(w).tolist() == spans
+
+    def test_random_prefix_vocabularies(self):
+        for seed in range(15):
+            vocab, seq = random_vocab_and_seq(seed)
+            stream = r.greedy_parse(vocab, seq)
+            self.check(stream)
+            assert stream.offsets[-1] == len(seq)
+
+    def test_one_token_stream(self, fig_vocab):
+        stream = r.greedy_parse(fig_vocab, "010")
+        assert len(stream) == 1
+        self.check(stream)
+        assert stream.window_spans(1).tolist() == [3]
+        with pytest.raises(r.ParameterError):
+            stream.window_spans(0)
+
+
 class TestExtSet:
     """Symbols by which a token can grow while staying in the vocabulary."""
 
