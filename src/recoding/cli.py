@@ -279,10 +279,10 @@ def _source(cfg: dict) -> dict:
     return {k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")}
 
 
-def _config(experiment: str, cfg: dict, seeds=None, **groups) -> ExperimentConfig:
+def _config(experiment: str, cfg: dict, **groups) -> ExperimentConfig:
     out = Path(os.environ.get("RECODING_OUT", "")) / cfg["output_dir"]
     out.mkdir(parents=True, exist_ok=True)
-    return ExperimentConfig(experiment, seeds or cfg["seeds"], out, **groups)
+    return ExperimentConfig(experiment, cfg["seeds"], out, **groups)
 
 
 def _fmt(v) -> str:
@@ -369,16 +369,15 @@ def run_gen_source(config: ExperimentConfig) -> None:
 @main.command("frag-decompose")
 @_key("--pairs", default="1:2,1:3,1:4,2:2,2:3,3:2", parse=_pairs,
       help="comma list of order:block, e.g. 1:2,2:3")
-@_key("--kernels-per-pair", type=int, default=8, parse=_positive)
 @_key("--n", type=int, default=500_000, parse=_int)
 @_key("--dirichlet-alpha", type=float, default=0.5, parse=_number)
 @_key("--laplace-alpha", type=float, default=0.5, parse=_number)
-@_common_keys(seeds=None)
+@_common_keys(seeds=tuple(range(8)))
 @_command
 def frag_decompose_cmd(cfg):
     """Exact penalty decomposition plus n-gram verification per (k, M)."""
     run_frag_decompose(_config(
-        "frag-decompose", cfg, seeds=cfg["seeds"] or list(range(cfg["kernels_per_pair"])),
+        "frag-decompose", cfg,
         source={"n": cfg["n"], "dirichlet_alpha": cfg["dirichlet_alpha"]},
         fragmentation={"pairs": cfg["pairs"]},
         params={"laplace_alpha": cfg["laplace_alpha"]},

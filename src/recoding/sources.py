@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AlphabetError,
@@ -77,15 +75,9 @@ class Alphabet:
         """Coerce a string, label sequence, or index array to int32 indices."""
         if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
             idx = data.astype(np.int32, copy=False)
-        elif isinstance(data, str):
-            lut = {s: i for i, s in enumerate(self.symbols)}
-            try:
-                idx = np.fromiter((lut[ch] for ch in data), dtype=np.int32, count=len(data))
-            except KeyError as e:
-                raise AlphabetError(f"unknown symbol {e.args[0]!r}") from None
         else:
-            seq = list(data)
-            if seq and isinstance(seq[0], str):
+            seq = data if isinstance(data, str) else list(data)
+            if isinstance(seq, str) or (seq and isinstance(seq[0], str)):
                 lut = {s: i for i, s in enumerate(self.symbols)}
                 try:
                     idx = np.fromiter((lut[x] for x in seq), dtype=np.int32, count=len(seq))
@@ -205,7 +197,8 @@ def json_alphabet(labels, what: str) -> Alphabet:
 
 @dataclass(frozen=True)
 class StationaryLaw:
-    """Stationary distribution over length-k contexts."""
+    """Stationary distribution over a chain's states: for a kernel's context
+    chain, over its context codes."""
 
     pi: np.ndarray
     solved: bool  # pi came from the direct solve, not from power iteration
@@ -241,17 +234,6 @@ def sample_kernel(
     return TransitionKernel(Alphabet.of_size(alphabet_size), order, g / totals)
 
 
-def _context_step(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
-    """One update of the context chain: new state drops the oldest symbol."""
-    a = kernel.alphabet_size
-    k = kernel.order
-    t = pi[:, None] * kernel.probs  # (A^k, A)
-    if k == 0:
-        return np.array([t.sum()])
-    # context code = oldest * A^(k-1) + rest; next code = rest * A + y
-    return t.reshape(a, a ** (k - 1), a).sum(axis=0).reshape(-1)
-
-
 def _successors(kernel: TransitionKernel) -> np.ndarray:
     """(A^k, A) table of the context that follows context c on symbol y:
     (c * A + y) mod A^k, laid out like `kernel.probs`."""
@@ -260,43 +242,32 @@ def _successors(kernel: TransitionKernel) -> np.ndarray:
     return (np.arange(states, dtype=np.int64)[:, None] * a + np.arange(a)) % states
 
 
-def _check_irreducible(kernel: TransitionKernel) -> None:
-    states = kernel.context_count
-    if states == 1:
-        return
-    src = np.repeat(np.arange(states, dtype=np.int64), kernel.alphabet_size)
-    keep = kernel.probs.ravel() > 0
-    graph = coo_matrix(
-        (np.ones(int(keep.sum())), (src[keep], _successors(kernel).ravel()[keep])),
-        shape=(states, states),
-    )
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    if n_comp != 1:
-        raise ErgodicityError(
-            f"context chain is reducible ({n_comp} strongly connected components)"
-        )
-
-
-def _solve_stationary(kernel: TransitionKernel) -> np.ndarray:
-    """Direct sparse solve of pi = pi P with the normalization row."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import spsolve
+def _chain(kernel: TransitionKernel):
+    """The context chain as its transposed transition matrix in CSR: entry
+    (c', c) is P(c -> c'), so one step of a law pi is `chain @ pi`.  Zero
+    probabilities are not stored, so they are not edges of the chain."""
+    from scipy.sparse import csr_matrix  # scipy loads only where a law is solved
 
     states = kernel.context_count
     src = np.repeat(np.arange(states, dtype=np.int64), kernel.alphabet_size)
-    chain = coo_matrix((kernel.probs.ravel(), (src, _successors(kernel).ravel())),
-                       shape=(states, states)).tocsr()
-    system = (chain.T - identity(states, format="csr")).tolil()
-    system[states - 1, :] = 1.0
-    rhs = np.zeros(states)
-    rhs[-1] = 1.0
-    pi = spsolve(system.tocsr(), rhs)
-    return pi
+    chain = csr_matrix((kernel.probs.ravel(), (_successors(kernel).ravel(), src)),
+                       shape=(states, states))
+    chain.eliminate_zeros()
+    return chain
 
 
 def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
-    """Stationary context law: power iteration, with a sparse direct solve
-    for slowly mixing chains.
+    """Stationary law of the kernel's context chain (`_stationary`),
+    computed once per kernel."""
+    if kernel._stationary is None:
+        kernel._stationary = _stationary(_chain(kernel))
+    return kernel._stationary
+
+
+def _stationary(chain) -> StationaryLaw:
+    """Stationary law of an irreducible chain given as its transposed
+    transition matrix (`_chain`): power iteration, with a sparse direct
+    solve for slowly mixing chains.
 
     Power iteration runs on the half-lazy chain (pi + pi P)/2, whose fixed
     point is the same but which also converges for periodic chains, until
@@ -304,23 +275,28 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     floating-point floor, for at most 4096 steps.  Chains with a tiny
     spectral gap (seen in practice for high-order, low-concentration
     Dirichlet kernels) cannot reach the tolerance by iteration alone; those
-    fall back to solving pi (P - I) = 0 directly, and the result is still
-    checked against the invariance tolerance.  The fallback comes as soon
-    as the residual, decaying at its rate over the last 256 steps, would
-    still be 100 times the tolerance at the cap: the decay tends only to
-    slow as the slowest mode takes over, so such a chain would reach the
-    cap.
+    fall back to solving pi (P - I) = 0 directly, with the last equation
+    replaced by the normalization row, and the result is still checked
+    against the invariance tolerance.  The fallback comes as soon as the
+    residual, decaying at its rate over the last 256 steps, would still be
+    100 times the tolerance at the cap: the decay tends only to slow as the
+    slowest mode takes over, so such a chain would reach the cap.
     """
-    if kernel._stationary is not None:
-        return kernel._stationary
-    _check_irreducible(kernel)
-    states = kernel.context_count
+    # scipy loads only where a law is solved
+    from scipy.sparse import identity
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
+    states = chain.shape[0]
+    n_comp, _ = connected_components(chain, directed=True, connection="strong")
+    if n_comp != 1:
+        raise ErgodicityError(f"chain is reducible ({n_comp} strongly connected components)")
     pi = np.full(states, 1.0 / states)
     prev_residual = math.inf
     logs = []  # log residual per step
     converged = False
     for step in range(_POWER_STEPS):
-        stepped = _context_step(kernel, pi)
+        stepped = chain @ pi
         residual = 0.5 * np.abs(stepped - pi).sum()
         if residual < 1e-15 or (residual >= prev_residual and residual < _STATIONARY_TOL):
             converged = True
@@ -333,8 +309,12 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
                 break
         pi = 0.5 * (pi + stepped)
     if not converged:
-        pi = _solve_stationary(kernel)
-        residual = 0.5 * np.abs(_context_step(kernel, pi) - pi).sum()
+        system = (chain - identity(states, format="csr")).tolil()
+        system[states - 1, :] = 1.0
+        rhs = np.zeros(states)
+        rhs[-1] = 1.0
+        pi = spsolve(system.tocsr(), rhs)
+        residual = 0.5 * np.abs(chain @ pi - pi).sum()
         if not residual < max(_STATIONARY_TOL, 1e-10):
             raise ErgodicityError(
                 f"stationary solve left invariance residual {residual:.3e}"
@@ -342,9 +322,7 @@ def stationary_law(kernel: TransitionKernel) -> StationaryLaw:
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     pi.flags.writeable = False
-    law = StationaryLaw(pi, not converged)
-    kernel._stationary = law
-    return law
+    return StationaryLaw(pi, not converged)
 
 
 def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:

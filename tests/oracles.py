@@ -10,7 +10,9 @@ power iteration for the stationary law, the exact predictor's dense
 table over every length-w context, the transferred predictor's
 next-token distribution, the grouping of rows on their raw bytes and the
 sorted n-gram count are the package's own earlier code, kept here as the
-references for its faster replacements.
+references for its faster replacements; so are the reshape step of the
+context chain and its direct solve, which the package now runs on one
+sparse chain matrix.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ import itertools
 import math
 
 import numpy as np
+# At module level on purpose: perfbench/worker.py loads this module after its
+# timed section and then reads scipy's version from sys.modules, and a run
+# that solves no stationary law (`span-cdf --text`) has not loaded scipy.
+from scipy.sparse import coo_matrix, identity
+from scipy.sparse.linalg import spsolve
 
 from recoding.ngram import ContextPredictor
 from recoding.rng import SEQUENCE_STREAM, generator
-from recoding.sources import (_check_irreducible, _context_step, _solve_stationary,
-                              stationary_law, window_law)
+from recoding.sources import stationary_law, window_law
 from recoding.tokenizer import expand
 
 
@@ -430,16 +436,44 @@ def oracle_lzw_units(seq, budget: int, alphabet_size: int) -> list[tuple]:
     return units
 
 
+def oracle_context_step(kernel, pi: np.ndarray) -> np.ndarray:
+    """One update of the context chain, by the reshape identity: the new
+    context drops the oldest symbol."""
+    a = kernel.alphabet_size
+    k = kernel.order
+    t = pi[:, None] * kernel.probs  # (A^k, A)
+    if k == 0:
+        return np.array([t.sum()])
+    # context code = oldest * A^(k-1) + rest; next code = rest * A + y
+    return t.reshape(a, a ** (k - 1), a).sum(axis=0).reshape(-1)
+
+
+def oracle_solve_stationary(kernel) -> np.ndarray:
+    """Direct sparse solve of pi = pi P, the last equation replaced by the
+    normalization row."""
+    a = kernel.alphabet_size
+    states = kernel.context_count
+    src = np.repeat(np.arange(states, dtype=np.int64), a)
+    dst = (np.arange(states, dtype=np.int64)[:, None] * a + np.arange(a)) % states
+    chain = coo_matrix((kernel.probs.ravel(), (src, dst.ravel())),
+                       shape=(states, states)).tocsr()
+    system = (chain.T - identity(states, format="csr")).tolil()
+    system[states - 1, :] = 1.0
+    rhs = np.zeros(states)
+    rhs[-1] = 1.0
+    return spsolve(system.tocsr(), rhs)
+
+
 def oracle_capped_stationary(kernel) -> tuple[bool, np.ndarray]:
-    """(whether the direct solve gave pi, pi) by power iteration on the
-    half-lazy chain for up to 4096 steps, then the sparse solve."""
-    _check_irreducible(kernel)
+    """(whether the direct solve gave pi, pi) for an irreducible kernel, by
+    power iteration on the half-lazy chain for up to 4096 steps, then the
+    sparse solve."""
     states = kernel.context_count
     pi = np.full(states, 1.0 / states)
     prev_residual = math.inf
     converged = False
     for _ in range(4096):
-        stepped = _context_step(kernel, pi)
+        stepped = oracle_context_step(kernel, pi)
         residual = 0.5 * np.abs(stepped - pi).sum()
         if residual < 1e-15 or (residual >= prev_residual and residual < 1e-12):
             converged = True
@@ -447,7 +481,7 @@ def oracle_capped_stationary(kernel) -> tuple[bool, np.ndarray]:
         prev_residual = residual
         pi = 0.5 * (pi + stepped)
     if not converged:
-        pi = _solve_stationary(kernel)
+        pi = oracle_solve_stationary(kernel)
     pi = np.maximum(pi, 0.0)
     return not converged, pi / pi.sum()
 

@@ -59,7 +59,7 @@ class TestGenSource:
 class TestFragDecompose:
     def test_small_sweep(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "frag-decompose", "--pairs", "1:2", "--kernels-per-pair", "2",
+            "frag-decompose", "--pairs", "1:2", "--seed", "0", "--seed", "1",
             "--n", "20000", "--output-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         header, rows, footer = read_csv(tmp_path / "decomposition.csv")
@@ -71,7 +71,7 @@ class TestFragDecompose:
 
     def test_m1_rows_zero_penalty(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "frag-decompose", "--pairs", "1:1", "--kernels-per-pair", "1",
+            "frag-decompose", "--pairs", "1:1", "--seed", "0",
             "--n", "5000", "--output-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         _, rows, _ = read_csv(tmp_path / "decomposition.csv")
@@ -81,7 +81,7 @@ class TestFragDecompose:
     def test_matches_golden_fixture(self, runner, tmp_path, golden):
         # the (k, M) = (1, 2) seed-0 instance is frozen from the oracle
         result = runner.invoke(main, [
-            "frag-decompose", "--pairs", "1:2", "--kernels-per-pair", "1",
+            "frag-decompose", "--pairs", "1:2", "--seed", "0",
             "--n", "5000", "--output-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         _, rows, _ = read_csv(tmp_path / "decomposition.csv")
@@ -104,7 +104,7 @@ class TestFragDecompose:
         monkeypatch.setattr(fragmentation, "fragment", counted)
         monkeypatch.setattr(cli, "fragment", counted)
         result = runner.invoke(main, [
-            "frag-decompose", "--pairs", "1:2,2:2", "--kernels-per-pair", "2",
+            "frag-decompose", "--pairs", "1:2,2:2", "--seed", "0", "--seed", "1",
             "--n", "5000", "--output-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert calls == [5000] * 4
@@ -112,7 +112,7 @@ class TestFragDecompose:
         assert len(rows) == 8
 
     def test_byte_identical_reruns(self, runner, tmp_path):
-        args = ["frag-decompose", "--pairs", "1:2", "--kernels-per-pair", "1",
+        args = ["frag-decompose", "--pairs", "1:2", "--seed", "0",
                 "--n", "10000"]
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -443,7 +443,7 @@ class TestConfigFile:
     def test_config_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "pairs": "1:2", "kernels_per_pair": 1, "n": 5000,
+            "pairs": "1:2", "seeds": [0], "n": 5000,
             "output_dir": str(tmp_path / "from_config")}))
         result = runner.invoke(main, [
             "frag-decompose", "--config", str(cfg),

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import recoding as r
 import recoding.sources as sources
-from oracles import oracle_conditional_entropy, oracle_entropy_rate, oracle_stationary
+from oracles import (oracle_conditional_entropy, oracle_context_step, oracle_entropy_rate,
+                     oracle_stationary)
+from scipy.sparse import csr_matrix
 
 
 def binary_entropy(p):
@@ -28,6 +30,24 @@ class TestAlphabet:
         a = r.Alphabet.of_size(2)
         with pytest.raises(r.AlphabetError):
             a.encode("012")
+
+    def test_unknown_label_is_named(self):
+        a = r.Alphabet(("x", "yy"))
+        for data in ("xz", ["x", "zz"]):
+            with pytest.raises(r.AlphabetError, match="unknown symbol 'zz?'"):
+                a.encode(data)
+
+    def test_encode_each_input_form(self):
+        a = r.Alphabet(("x", "yy", "z"))
+        empty = a.encode("")
+        assert empty.dtype == np.int32 and empty.size == 0
+        for data in ("zxz", ["z", "x", "z"], [2, 0, 2], (2, 0, 2), np.array([2, 0, 2])):
+            idx = a.encode(data)
+            assert idx.dtype == np.int32 and idx.tolist() == [2, 0, 2]
+        assert a.encode(["yy", "x"]).tolist() == [1, 0]
+        assert a.encode([]).dtype == np.int32
+        with pytest.raises(r.AlphabetError):
+            a.encode([0, 3])
 
 
 class TestSampleKernel:
@@ -82,12 +102,10 @@ class TestStationaryLaw:
         assert np.allclose(law.pi, [1.0])
 
     def test_invariance_residual(self):
-        from recoding.sources import _context_step
-
         for seed in range(5):
             k = r.sample_kernel(3, 2, 0.5, seed)
             pi = r.stationary_law(k).pi
-            stepped = _context_step(k, pi)
+            stepped = oracle_context_step(k, pi)
             assert 0.5 * np.abs(stepped - pi).sum() < 1e-10
 
     def test_matches_linear_solve_oracle(self):
@@ -121,6 +139,83 @@ class TestStationaryLaw:
         pi = r.stationary_law(k).pi
         stepped = (pi[:, None] * k.probs).reshape(2, 2**11, 2).sum(axis=0).reshape(-1)
         assert 0.5 * np.abs(stepped - pi).sum() < 1e-10
+
+
+def dense_stationary(p: np.ndarray) -> np.ndarray:
+    """pi with pi P = pi and sum 1, for a dense row-stochastic P, by a dense
+    least-squares solve."""
+    n = len(p)
+    system = np.vstack([p.T - np.eye(n), np.ones(n)])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+class TestChain:
+    """`_chain` is the context chain's transposed transition matrix."""
+
+    @pytest.mark.parametrize("size,top", [(2, 12), (3, 6), (4, 5), (5, 4), (8, 3), (16, 2),
+                                          (300, 1)])
+    def test_step_equals_the_reshape_step(self, size, top):
+        """Bit for bit from order 1 on, where each new context sums its A
+        predecessors in the same order.  (At order 0 the one context sums
+        A terms in a different order, but the law there is [1.0].)"""
+        rng = np.random.default_rng(size)
+        for order in range(1, top + 1):
+            kernel = r.sample_kernel(size, order, 0.5, order)
+            pi = rng.random(kernel.context_count)
+            pi /= pi.sum()
+            stepped = sources._chain(kernel) @ pi
+            assert np.array_equal(stepped, oracle_context_step(kernel, pi))
+
+    def test_zero_probabilities_are_not_stored(self, binary):
+        probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
+        chain = sources._chain(r.TransitionKernel(binary, 2, probs))
+        assert chain.nnz == 6
+        assert np.array_equal(chain.toarray().T, [[1, 0, 0, 0], [0, 0, 0.5, 0.5],
+                                                  [0, 1, 0, 0], [0, 0, 0.25, 0.75]])
+
+
+class TestStationaryOfAnyChain:
+    """`_stationary` solves chains that are not context chains."""
+
+    def test_random_sparse_chain(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            n = 60
+            p = rng.random((n, n)) * (rng.random((n, n)) < 0.1)  # mostly zero
+            p[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # a cycle makes it irreducible
+            p /= p.sum(axis=1, keepdims=True)
+            law = sources._stationary(csr_matrix(p.T))
+            assert np.allclose(law.pi, dense_stationary(p), rtol=0, atol=1e-12)
+
+    def test_periodic_chain(self):
+        rng = np.random.default_rng(3)
+        p = np.zeros((8, 8))
+        p[:4, 4:] = rng.random((4, 4))  # period 2: the halves alternate
+        p[4:, :4] = rng.random((4, 4))
+        p /= p.sum(axis=1, keepdims=True)
+        law = sources._stationary(csr_matrix(p.T))
+        assert np.allclose(law.pi, dense_stationary(p), rtol=0, atol=1e-12)
+        assert law.pi[:4].sum() == pytest.approx(0.5, abs=1e-12)
+
+    def test_two_nearly_closed_blocks_take_the_solve(self):
+        rng = np.random.default_rng(5)
+        m = 20
+        p = np.full((2 * m, 2 * m), 1e-9)
+        p[:m, :m] = rng.random((m, m))
+        p[m:, m:] = rng.random((m, m))
+        p /= p.sum(axis=1, keepdims=True)
+        chain = csr_matrix(p.T)
+        law = sources._stationary(chain)
+        assert law.solved
+        assert 0.5 * np.abs(chain @ law.pi - law.pi).sum() < 1e-10
+        assert law.pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_reducible_chain_raises(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        with pytest.raises(r.ErgodicityError, match="2 strongly connected"):
+            sources._stationary(csr_matrix(p.T))
 
 
 class TestSampleSequence:
