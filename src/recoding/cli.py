@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -39,14 +38,12 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    AlphabetError,
     AssumptionViolationError,
     CapacityError,
     DataError,
-    ErgodicityError,
     FormatError,
     ParameterError,
-    PositivityError,
+    RecodingError,
 )
 from .fragmentation import decompose, empirical_fragmented_loss, fragment, make_map
 from .ngram import in_sample_log_loss, optimal_predictor
@@ -69,44 +66,6 @@ from .spans import (
 )
 from .tokenizer import PrefixVocabulary, greedy_parse, train_vocabularies
 from .transfer import TransferredPredictor, compare_losses
-
-_CONFIG_ERRORS = (
-    ParameterError,
-    FormatError,
-    DataError,
-    AlphabetError,
-    PositivityError,
-)
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment parameters; `hash` names them in artifact footers."""
-
-    experiment: str
-    seeds: list[int]
-    output_dir: Path
-    source: dict = field(default_factory=dict)
-    fragmentation: dict = field(default_factory=dict)
-    tokenizer: dict = field(default_factory=dict)
-    windows: list[int] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-
-    def hash(self) -> str:
-        """Digest of the parameters, each input file by its content rather
-        than by its path, so copies of the same inputs hash alike."""
-        payload = {
-            "experiment": self.experiment,
-            "seeds": self.seeds,
-            "source": self.source,
-            "fragmentation": self.fragmentation,
-            "tokenizer": _by_content(self.tokenizer),
-            "windows": self.windows,
-            "params": {k: str(_by_content(v)) for k, v in sorted(self.params.items())},
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 # ------------------------------------------------------------------ settings
 # A parser takes a value as a JSON config or a flag gives it and returns it
@@ -132,7 +91,9 @@ def _count(v):
 
 
 def _number(v):  # an int stays an int, so that a config's 2 and 2.0 hash as written
-    return _check(isinstance(v, (int, float)) and not isinstance(v, bool), v, "a number")
+    # NaN fails both bounds; an infinity, or an int past the float range, fails one
+    ok = type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max
+    return _check(ok, v, "a finite number")
 
 
 def _fraction(v):
@@ -144,7 +105,7 @@ def _text(v):
 
 
 class _InputFile(str):
-    """A path `_file` accepted: `ExperimentConfig.hash` covers the file's
+    """A path `_file` accepted: `_run`'s config hash covers the file's
     bytes in its place."""
 
 
@@ -275,14 +236,46 @@ def _settings(config_path: str | None, flags: dict) -> dict:
     return out
 
 
-def _source(cfg: dict) -> dict:
-    return {k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n")}
-
-
-def _config(experiment: str, cfg: dict, **groups) -> ExperimentConfig:
+def _run(experiment: str, cfg: dict, **groups) -> tuple[Path, list[str]]:
+    """Create the run's output directory; return it and the footer of the
+    run's CSV files.  The footer's config_hash digests the experiment, the
+    seeds and the hash groups: the source keys the command takes, and the
+    fragmentation, tokenizer, windows and params given.  Each input file
+    counts by its content rather than by its path, so copies of the same
+    inputs hash alike."""
+    source = {k: cfg[k] for k in ("alphabet_size", "order", "dirichlet_alpha", "n") if k in cfg}
+    groups = {"source": source, "fragmentation": {}, "tokenizer": {}, "windows": [], "params": {},
+              **groups}
+    groups["tokenizer"] = _by_content(groups["tokenizer"])
+    groups["params"] = {k: str(_by_content(v)) for k, v in groups["params"].items()}
+    blob = json.dumps({"experiment": experiment, "seeds": cfg["seeds"], **groups},
+                      sort_keys=True, separators=(",", ":"))
     out = Path(os.environ.get("RECODING_OUT", "")) / cfg["output_dir"]
     out.mkdir(parents=True, exist_ok=True)
-    return ExperimentConfig(experiment, cfg["seeds"], out, **groups)
+    return out, [f"# config_hash={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
+                 "# seeds=" + ";".join(str(s) for s in cfg["seeds"]),
+                 f"# artifact_version={__version__}"]
+
+
+def _draw(cfg: dict, seed: int, **source) -> tuple[TransitionKernel, np.ndarray]:
+    """A seed's kernel and its n-symbol sequence.  The kernel is the
+    `--kernel` file if one is given, else sampled from cfg's source keys,
+    with `source`'s values in place of any of them."""
+    src = {**cfg, **source}
+    if src.get("kernel") is not None:
+        kernel = TransitionKernel.load(src["kernel"])
+    else:
+        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
+    return kernel, sample_sequence(kernel, src["n"], seed)
+
+
+def _exact_transfer(kernel: TransitionKernel, vocab: PrefixVocabulary, stream, w: int,
+                    ws: int, eta: float):
+    """The exact ws-symbol predictor, eta-smoothed and transferred to
+    w-token windows of `vocab`; its token losses on `stream`; and
+    H(Y | ws symbols), the loss it carries over."""
+    tp = TransferredPredictor(optimal_predictor(kernel, ws).smoothed(eta), vocab, w)
+    return tp, tp.token_log_losses(stream), conditional_entropy(kernel, ws)
 
 
 def _fmt(v) -> str:
@@ -291,12 +284,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], config: ExperimentConfig) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.append(f"# config_hash={config.hash()}")
-    lines.append("# seeds=" + ";".join(str(s) for s in config.seeds))
-    lines.append(f"# artifact_version={__version__}")
+def write_csv(path: Path, header: list[str], rows: list[list], footer: list[str]) -> None:
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows), *footer]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -314,20 +303,19 @@ def _train(flag: str, seq, alphabet: Alphabet, requests) -> list[PrefixVocabular
 
 def _command(fn):
     """Run a command body on its settings; exit with the code of this
-    package's errors."""
+    package's error class (see `errors`).  Other exceptions propagate."""
     @functools.wraps(fn)
     def wrapper(config_path, **flags):
         try:
             return fn(_settings(config_path, flags))
-        except _CONFIG_ERRORS as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(2)
         except CapacityError as exc:
-            click.echo(f"capacity error: {exc}", err=True)
-            sys.exit(3)
-        except (AssumptionViolationError, ErgodicityError) as exc:
-            click.echo(f"assumption violation: {exc}", err=True)
-            sys.exit(4)
+            message, code = f"capacity error: {exc}", 3
+        except AssumptionViolationError as exc:
+            message, code = f"assumption violation: {exc}", 4
+        except RecodingError as exc:
+            message, code = f"configuration error: {exc}", 2
+        click.echo(message, err=True)
+        sys.exit(code)
 
     return wrapper
 
@@ -346,21 +334,18 @@ def main():
 @_command
 def gen_source_cmd(cfg):
     """Sample a kernel and a stationary sequence to files."""
-    run_gen_source(_config("gen-source", cfg, source=_source(cfg)))
+    run_gen_source(cfg)
 
 
-def run_gen_source(config: ExperimentConfig) -> None:
-    src = config.source
-    if src["alphabet_size"] > 256:
+def run_gen_source(cfg: dict) -> None:
+    out, _ = _run("gen-source", cfg)  # no CSV, so the footer goes unused
+    if cfg["alphabet_size"] > 256:
         raise ParameterError("--alphabet-size: raw sequence files support at most 256 symbols")
-    drawn = []  # written only once every seed's kernel and sequence are drawn
-    for seed in config.seeds:
-        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
-        drawn.append((seed, kernel, sample_sequence(kernel, src["n"], seed)))
+    drawn = [(seed, *_draw(cfg, seed)) for seed in cfg["seeds"]]  # all drawn before any is written
     for seed, kernel, seq in drawn:
-        kernel.save(config.output_dir / f"kernel_seed{seed}.json")
-        write_sequence(config.output_dir / f"sequence_seed{seed}.bin", seq, kernel.alphabet)
-        click.echo(f"seed {seed}: kernel and {src['n']}-symbol sequence written")
+        kernel.save(out / f"kernel_seed{seed}.json")
+        write_sequence(out / f"sequence_seed{seed}.bin", seq, kernel.alphabet)
+        click.echo(f"seed {seed}: kernel and {cfg['n']}-symbol sequence written")
 
 
 # ------------------------------------------------------------ frag-decompose
@@ -376,26 +361,20 @@ def run_gen_source(config: ExperimentConfig) -> None:
 @_command
 def frag_decompose_cmd(cfg):
     """Exact penalty decomposition plus n-gram verification per (k, M)."""
-    run_frag_decompose(_config(
-        "frag-decompose", cfg,
-        source={"n": cfg["n"], "dirichlet_alpha": cfg["dirichlet_alpha"]},
-        fragmentation={"pairs": cfg["pairs"]},
-        params={"laplace_alpha": cfg["laplace_alpha"]},
-    ))
+    run_frag_decompose(cfg)
 
 
-def run_frag_decompose(config: ExperimentConfig) -> None:
-    n = config.source["n"]
-    d_alpha = config.source["dirichlet_alpha"]
-    l_alpha = config.params["laplace_alpha"]
+def run_frag_decompose(cfg: dict) -> None:
+    l_alpha = cfg["laplace_alpha"]
+    out, footer = _run("frag-decompose", cfg, fragmentation={"pairs": cfg["pairs"]},
+                       params={"laplace_alpha": l_alpha})
     rows = []
     reports = []
-    for order, block in config.fragmentation["pairs"]:
-        src_size = 2**block  # source alphabet re-coded to bits
-        for seed in config.seeds:
-            kernel = sample_kernel(src_size, order, d_alpha, seed)
+    for order, block in cfg["pairs"]:
+        for seed in cfg["seeds"]:
+            # source alphabet re-coded to bits
+            kernel, seq = _draw(cfg, seed, alphabet_size=2**block, order=order)
             fmap = make_map(kernel.alphabet, Alphabet.of_size(2), block)
-            seq = sample_sequence(kernel, n, seed)
             windows = (order, order + 1)
             exact = [decompose(kernel, fmap, w) for w in windows]
             # one fragmentation for both windows, held only while they are scored
@@ -416,8 +395,8 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
     header = ["k", "M", "seed", "w", "exact_source_bits", "exact_frag_bits",
               "context_deficit_bits", "phase_ambiguity_bits", "exact_gap_bits",
               "empirical_frag_bits", "empirical_source_bits", "empirical_penalty_bits"]
-    write_csv(config.output_dir / "decomposition.csv", header, rows, config)
-    _write_json(config.output_dir / "decomposition.json", reports)
+    write_csv(out / "decomposition.csv", header, rows, footer)
+    _write_json(out / "decomposition.json", reports)
     click.echo(f"wrote {len(rows)} decomposition rows")
 
 
@@ -433,32 +412,27 @@ def run_frag_decompose(config: ExperimentConfig) -> None:
 @_command
 def tok_train_cmd(cfg):
     """Train pair-merge vocabularies per size; report compression ratios."""
-    run_tok_train(_config(
-        "tok-train", cfg, source=_source(cfg),
-        tokenizer={"method": "bpe", "sizes": cfg["sizes"], "train_prefix": cfg["train_prefix"]},
-    ))
+    run_tok_train(cfg)
 
 
-def run_tok_train(config: ExperimentConfig) -> None:
-    src = config.source
-    sizes = config.tokenizer["sizes"]
-    prefix = config.tokenizer["train_prefix"]
+def run_tok_train(cfg: dict) -> None:
+    sizes, prefix = cfg["sizes"], cfg["train_prefix"]
+    out, footer = _run("tok-train", cfg,
+                       tokenizer={"method": "bpe", "sizes": sizes, "train_prefix": prefix})
     rows = []
     written = []  # written only once every (seed, size) succeeded
-    for seed in config.seeds:
-        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
-        seq = sample_sequence(kernel, src["n"], seed)
+    for seed in cfg["seeds"]:
+        kernel, seq = _draw(cfg, seed)
         vocabs = _train("--sizes", seq[:prefix], kernel.alphabet, [("bpe", v) for v in sizes])
         for v, vocab in zip(sizes, vocabs):
-            written.append((config.output_dir / f"vocab_seed{seed}_V{v}.json", vocab))
+            written.append((out / f"vocab_seed{seed}_V{v}.json", vocab))
             stream = greedy_parse(vocab, seq)
             ratio = len(seq) / len(stream.ids)
             rows.append([seed, v, vocab.size, len(stream.ids), ratio])
             click.echo(f"seed {seed} V={v}: {vocab.size} entries, ratio {ratio:.3f}")
     for path, vocab in written:
         vocab.save(path)
-    write_csv(config.output_dir / "ratios.csv",
-              ["seed", "V", "entries", "tokens", "ratio"], rows, config)
+    write_csv(out / "ratios.csv", ["seed", "V", "entries", "tokens", "ratio"], rows, footer)
 
 
 # ------------------------------------------------------------------ span-cdf
@@ -483,13 +457,7 @@ def run_tok_train(config: ExperimentConfig) -> None:
 @_command
 def span_cdf_cmd(cfg):
     """Span histograms and slack curves per (tokenizer, window)."""
-    run_span_cdf(_config(
-        "span-cdf", cfg, source=_source(cfg),
-        tokenizer={"method": "bpe", "sizes": [] if cfg["vocab_files"] else cfg["sizes"],
-                   "train_prefix": cfg["train_prefix"], "vocab_files": cfg["vocab_files"]},
-        windows=cfg["windows"],
-        params={"text": cfg["text"], "span_max_mult": cfg["span_max_mult"]},
-    ))
+    run_span_cdf(cfg)
 
 
 def _ws_sweep(w: int, max_mult: int, lo: int, hi: int) -> list[int]:
@@ -501,29 +469,30 @@ def _ws_sweep(w: int, max_mult: int, lo: int, hi: int) -> list[int]:
     return [int(v) for v in values]
 
 
-def run_span_cdf(config: ExperimentConfig) -> None:
-    text = config.params["text"]
-    sizes = config.tokenizer["sizes"]
-    vocab_files = config.tokenizer["vocab_files"]
-    prefix = config.tokenizer["train_prefix"]
-    mult = config.params["span_max_mult"]
-    seed = config.seeds[0]
+def run_span_cdf(cfg: dict) -> None:
+    text, vocab_files = cfg["text"], cfg["vocab_files"]
+    sizes = [] if vocab_files else cfg["sizes"]  # --vocab trains nothing
+    out, footer = _run(
+        "span-cdf", cfg,
+        tokenizer={"method": "bpe", "sizes": sizes, "train_prefix": cfg["train_prefix"],
+                   "vocab_files": vocab_files},
+        windows=cfg["windows"], params={"text": text, "span_max_mult": cfg["span_max_mult"]})
     if text:
         try:
             corpus = Path(text).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"--text {text} is not UTF-8 text: {exc}") from None
         alphabet = Alphabet.from_text(corpus)
+        if alphabet.size < 2:
+            raise DataError(f"--text {text} needs at least 2 distinct symbols")
         seq = alphabet.encode(corpus)
         label = "text"
     else:
-        src = config.source
-        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
+        kernel, seq = _draw(cfg, cfg["seeds"][0])
         alphabet = kernel.alphabet
-        seq = sample_sequence(kernel, src["n"], seed)
-        label = f"markov_k{src['order']}"
+        label = f"markov_k{cfg['order']}"
 
-    vocabs = _train("--sizes", seq[:prefix], alphabet, [("bpe", v) for v in sizes])
+    vocabs = _train("--sizes", seq[:cfg["train_prefix"]], alphabet, [("bpe", v) for v in sizes])
     jobs = [(f"V{v}", vocab) for v, vocab in zip(sizes, vocabs)]
     for path in vocab_files:
         vocab = PrefixVocabulary.load(path)
@@ -536,20 +505,20 @@ def run_span_cdf(config: ExperimentConfig) -> None:
     reports = []  # written only once every (vocabulary, window) pair succeeded
     for name, vocab in jobs:
         stream = greedy_parse(vocab, seq)
-        for w in config.windows:
+        for w in cfg["windows"]:
             report = span_distribution(stream, w)
             spans = sorted(report.span_histogram)
-            sweep = _ws_sweep(w, mult, spans[0], spans[-1])
+            sweep = _ws_sweep(w, cfg["span_max_mult"], spans[0], spans[-1])
             curve = slack_curve(stream, w, sweep)
             report.slack_curve = curve
-            reports.append((config.output_dir / f"spans_{label}_{name}_w{w}.json", report))
+            reports.append((out / f"spans_{label}_{name}_w{w}.json", report))
             for ws, eps, slack in curve:
                 rows.append([label, name, w, ws, eps, report.rate, slack])
     for path, report in reports:
         report.save(path)
-    write_csv(config.output_dir / "slack.csv",
+    write_csv(out / "slack.csv",
               ["corpus", "tokenizer", "w", "w_s", "epsilon", "rate", "slack_bits"],
-              rows, config)
+              rows, footer)
     click.echo(f"wrote slack curves for {len(jobs)} vocabularies")
 
 
@@ -569,11 +538,7 @@ def run_span_cdf(config: ExperimentConfig) -> None:
 @_command
 def transfer_check_cmd(cfg):
     """Transfer optimal predictors across vocabularies and verify bounds."""
-    run_transfer_check(_config(
-        "transfer-check", cfg, source=_source(cfg),
-        tokenizer={"specs": cfg["tokenizers"], "train_prefix": cfg["train_prefix"]},
-        windows=cfg["windows"], params={"ws": cfg["ws"], "eta": cfg["eta"]},
-    ))
+    run_transfer_check(cfg)
 
 
 def _tokenizer(spec: str, alphabet_size: int) -> tuple[str, tuple[str, int]]:
@@ -585,30 +550,25 @@ def _tokenizer(spec: str, alphabet_size: int) -> tuple[str, tuple[str, int]]:
     return f"{method}{int(size)}", (method, int(size))
 
 
-def run_transfer_check(config: ExperimentConfig) -> None:
-    src = config.source
-    eta = config.params["eta"]
-    specs = config.tokenizer["specs"]
-    prefix = config.tokenizer["train_prefix"]
+def run_transfer_check(cfg: dict) -> None:
+    specs, prefix = cfg["tokenizers"], cfg["train_prefix"]
+    out, footer = _run(
+        "transfer-check", cfg,
+        tokenizer={"specs": specs, "train_prefix": prefix},
+        windows=cfg["windows"], params={"ws": cfg["ws"], "eta": cfg["eta"]})
     rows = []
     reports = []  # written only once every (seed, tokenizer, window) succeeded
-    for seed in config.seeds:
-        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
-        seq = sample_sequence(kernel, src["n"], seed)
+    for seed in cfg["seeds"]:
+        kernel, seq = _draw(cfg, seed)
         rate = entropy_rate(kernel)
         names, requests = zip(*(_tokenizer(spec, kernel.alphabet_size) for spec in specs))
         vocabs = _train("--tokenizer", seq[:prefix], kernel.alphabet, requests)
         for name, vocab in zip(names, vocabs):
             stream = greedy_parse(vocab, seq)
             _, tok_rate = compression_stats(stream)
-            for w in config.windows:
-                ws = config.params["ws"]
-                if ws is None:
-                    ws = worst_case_span(stream, w)
-                q = optimal_predictor(kernel, ws).smoothed(eta)
-                target = conditional_entropy(kernel, ws)
-                tp = TransferredPredictor(q, vocab, w)
-                bd = tp.token_log_losses(stream)
+            for w in cfg["windows"]:
+                ws = worst_case_span(stream, w) if cfg["ws"] is None else cfg["ws"]
+                tp, bd, target = _exact_transfer(kernel, vocab, stream, w, ws, cfg["eta"])
                 report = compare_losses(tp, seq, bd)
                 report.update({
                     "seed": seed, "tokenizer": name, "w": w, "ws": ws,
@@ -624,7 +584,7 @@ def run_transfer_check(config: ExperimentConfig) -> None:
                     "bound_bits": target + slack,
                     "se_bits": bd.per_source_symbol_se(),
                 }
-                reports.append((config.output_dir / f"transfer_{name}_w{w}_seed{seed}.json", report))
+                reports.append((out / f"transfer_{name}_w{w}_seed{seed}.json", report))
                 rows.append([
                     seed, name, w, ws, rate,
                     report["per_symbol_losses"]["source"],
@@ -639,7 +599,7 @@ def run_transfer_check(config: ExperimentConfig) -> None:
               "epsilon", "typical_per_symbol_bits", "typical_bound_bits"]
     for path, report in reports:
         _write_json(path, report)
-    write_csv(config.output_dir / "transfer.csv", header, rows, config)
+    write_csv(out / "transfer.csv", header, rows, footer)
     click.echo(f"wrote {len(rows)} transfer rows")
 
 
@@ -659,44 +619,32 @@ def run_transfer_check(config: ExperimentConfig) -> None:
 @_command
 def heavy_hitting_cmd(cfg):
     """LZW budget sweep with token-length and end-to-end loss diagnostics."""
-    run_heavy_hitting(_config(
-        "heavy-hitting", cfg, source=_source(cfg),
-        tokenizer={"method": "lzw", "budgets": cfg["budgets"]}, windows=[cfg["window"]],
+    run_heavy_hitting(cfg)
+
+
+def run_heavy_hitting(cfg: dict) -> None:
+    budgets, w = cfg["budgets"], cfg["window"]
+    out, footer = _run(
+        "heavy-hitting", cfg,
+        tokenizer={"method": "lzw", "budgets": budgets}, windows=[w],
         params={"beta": cfg["beta"], "eta_transfer": cfg["eta_transfer"],
-                "kernel": cfg["kernel"]},
-    ))
-
-
-def run_heavy_hitting(config: ExperimentConfig) -> None:
-    src = config.source
-    beta = config.params["beta"]
-    kernel_file = config.params["kernel"]
-    budgets = config.tokenizer["budgets"]
-    w = config.windows[0]
+                "kernel": cfg["kernel"]})
     rows = []
     payloads = []  # written only once every (seed, budget) succeeded
-    for seed in config.seeds:
-        if kernel_file is not None:
-            kernel = TransitionKernel.load(kernel_file)
-        else:
-            kernel = sample_kernel(
-                src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
-        delta = float(kernel.probs.min())
-        if delta <= 0:
-            raise AssumptionViolationError("kernel is not strictly positive")
-        seq = sample_sequence(kernel, src["n"], seed)
+    for seed in cfg["seeds"]:
+        kernel, seq = _draw(cfg, seed)
         vocabs = _train("--budgets", seq, kernel.alphabet, [("lzw", d) for d in budgets])
         for d, vocab in zip(budgets, vocabs):
             stream = greedy_parse(vocab, seq)
-            report = heavy_hitting_report(kernel, stream, beta, d, w)
+            # AssumptionViolationError on a zero transition probability
+            report = heavy_hitting_report(kernel, stream, cfg["beta"], d, w)
             payload = report.to_json()
             # end-to-end loss bound via the typical transferred predictor
             w_d = report.window_span_threshold
             eta_hat = report.miss_prob
             if w_d >= 1 and eta_hat < 1.0:
-                target = conditional_entropy(kernel, w_d)
-                q = optimal_predictor(kernel, w_d).smoothed(config.params["eta_transfer"])
-                bd = TransferredPredictor(q, vocab, w).token_log_losses(stream)
+                _, bd, target = _exact_transfer(kernel, vocab, stream, w, w_d,
+                                                cfg["eta_transfer"])
                 bound = target + 4 * eta_hat * math.log2(d) / (
                     (1 - eta_hat) * report.ell_d + eta_hat)
                 payload["end_to_end"] = {
@@ -705,7 +653,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
                     "bound_bits": bound,
                     "se_bits": bd.per_source_symbol_se(),
                 }
-            payloads.append((config.output_dir / f"heavy_seed{seed}_d{d}.json", payload))
+            payloads.append((out / f"heavy_seed{seed}_d{d}.json", payload))
             rows.append([
                 seed, d, report.delta, report.ell_d, report.miss_prob,
                 report.short_token_prob, report.window_fail_prob, report.alpha,
@@ -717,7 +665,7 @@ def run_heavy_hitting(config: ExperimentConfig) -> None:
               "alpha_bound_ok"]
     for path, payload in payloads:
         _write_json(path, payload)
-    write_csv(config.output_dir / "heavy_hitting.csv", header, rows, config)
+    write_csv(out / "heavy_hitting.csv", header, rows, footer)
     click.echo(f"wrote {len(rows)} heavy-hitting rows")
 
 

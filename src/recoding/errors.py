@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.  The command line exits 3 on a
+`CapacityError`, 4 on an `AssumptionViolationError` (an `ErgodicityError` is
+one) and 2 on any other `RecodingError`; other exceptions propagate."""
 
 
 class RecodingError(Exception):
@@ -7,11 +9,6 @@ class RecodingError(Exception):
 
 class ParameterError(RecodingError, ValueError):
     """A parameter is outside its documented range."""
-
-
-class ErgodicityError(RecodingError):
-    """The context chain of a kernel is reducible or the stationary fixed
-    point could not be reached."""
 
 
 class CapacityError(RecodingError):
@@ -35,7 +32,12 @@ class DataError(RecodingError, ValueError):
 
 
 class AssumptionViolationError(RecodingError):
-    """A positivity assumption required by a diagnostic does not hold."""
+    """A positivity or ergodicity assumption of a computation does not hold."""
+
+
+class ErgodicityError(AssumptionViolationError):
+    """The context chain of a kernel is reducible or the stationary fixed
+    point could not be reached."""
 
 
 class PositivityError(RecodingError, ValueError):

@@ -117,9 +117,9 @@ class TransitionKernel:
             raise FormatError(
                 f"probs must have shape ({rows}, {alphabet.size}), got {probs.shape}"
             )
-        if np.any(probs < 0):
-            raise FormatError("transition probabilities must be non-negative")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):
+        if not (probs >= 0).all():  # so written that NaN fails too
+            raise FormatError("transition probabilities must be non-negative numbers")
+        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-12):  # non-negative rows never sum to NaN
             raise FormatError("each kernel row must sum to 1 within 1e-12")
         self.alphabet = alphabet
         self.order = order

@@ -419,6 +419,23 @@ class TestHeavyHitting:
             "--budgets", "4", "--output-dir", str(tmp_path)])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("probs, message", [
+        # reducible: the stationary law, which sampling needs, fails first
+        ([1, 0, 0, 1], "chain is reducible (2 strongly connected components)"),
+        # irreducible, so the run reaches the report's positivity check
+        ([0, 1, 0.5, 0.5], "source has a zero transition probability"),
+    ])
+    def test_kernel_assumption_exit_4(self, runner, tmp_path, probs, message):
+        kpath = tmp_path / "kernel.json"
+        kpath.write_text(json.dumps({"alphabet": ["0", "1"], "order": 1, "probs": probs}))
+        result = runner.invoke(main, [
+            "heavy-hitting", "--kernel", str(kpath), "--n", "1000", "--budgets", "4",
+            "--output-dir", str(tmp_path)])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"assumption violation: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["kernel.json"]
+
     def test_external_vocab_span_analysis(self, runner, tmp_path):
         # the neutral JSON vocabulary format is accepted directly
         vocab = r.PrefixVocabulary(r.Alphabet.of_size(2), ["010", "11"])
@@ -461,6 +478,14 @@ def assert_config_error(result, named):
     assert len(lines) == 1 and named in lines[0], result.stderr
 
 
+# input files that the bad-input cases below name by file name in their argv
+INPUT_FILES = {
+    "nan_kernel.json": json.dumps(
+        {"alphabet": ["0", "1"], "order": 1, "probs": [float("nan")] * 2 + [0.5] * 2}),
+    "one_symbol.txt": "aaaa",
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv, config, named", [
         (["gen-source"], {"alphabet_sise": 3}, "'alphabet_sise'"),
@@ -487,15 +512,33 @@ class TestBadInput:
         (["transfer-check", "--eta", "0"], None, "--eta: expected a number in (0, 1)"),
         (["heavy-hitting", "--n", "1000", "--budgets", "4", "--eta-transfer", "2"], None,
          "--eta-transfer"),
+        # a number must be finite, as a flag and as a config value
+        (["frag-decompose", "--pairs", "1:2", "--n", "2000", "--seed", "0",
+          "--laplace-alpha", "nan"], None, "--laplace-alpha: expected a finite number"),
+        (["gen-source", "--dirichlet-alpha", "inf"], None, "--dirichlet-alpha"),
+        (["heavy-hitting", "--n", "1000", "--budgets", "4", "--beta", "nan"], None, "--beta"),
+        (["frag-decompose", "--pairs", "1:2", "--n", "2000", "--seed", "0"],
+         {"laplace_alpha": float("nan")}, "'laplace_alpha'"),
+        (["gen-source"], '{"dirichlet_alpha": Infinity}', "'dirichlet_alpha'"),
+        (["gen-source"], {"dirichlet_alpha": 10**400}, "'dirichlet_alpha'"),  # past float range
+        (["heavy-hitting", "--kernel", "nan_kernel.json", "--n", "1000", "--budgets", "4"],
+         None, "transition probabilities must be non-negative numbers"),
+        (["span-cdf", "--text", "one_symbol.txt", "--sizes", "1", "--windows", "1"], None,
+         "needs at least 2 distinct symbols"),
     ])
     def test_exit_2_naming_the_key_or_flag(self, runner, tmp_path, argv, config, named):
+        inputs = [arg for arg in argv if arg in INPUT_FILES]
+        for name in inputs:
+            (tmp_path / name).write_text(INPUT_FILES[name])
+        argv = [str(tmp_path / arg) if arg in INPUT_FILES else arg for arg in argv]
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = argv + ["--config", str(path)]
+            inputs.append("cfg.json")
         result = runner.invoke(main, argv + ["--output-dir", str(tmp_path)])
         assert_config_error(result, named)
-        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
     def test_vocab_file_not_json(self, runner, tmp_path):
         vpath = tmp_path / "vocab.json"
@@ -567,8 +610,19 @@ def test_every_experiment_has_a_config():
     assert {p.name.split(".")[0] for p in CONFIGS} == set(EXPERIMENTS)
 
 
+def config_settings(path: Path) -> dict:
+    """A config's settings as its command parses them; ParameterError on an
+    unknown key or a bad value."""
+    with click.Context(main.commands[path.name.split(".")[0]]):
+        return cli._settings(str(path), {})
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_config_passes_its_command_checks(path):
-    command = main.commands[path.name.split(".")[0]]
-    with click.Context(command):
-        cli._settings(str(path), {})  # ParameterError on an unknown key or a bad value
+    config_settings(path)
+
+
+def test_configs_write_to_distinct_output_dirs():
+    # a run of one config must not replace another's artifacts
+    dirs = [config_settings(path)["output_dir"] for path in CONFIGS]
+    assert len(set(dirs)) == len(dirs), dirs

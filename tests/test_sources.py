@@ -128,6 +128,8 @@ class TestStationaryLaw:
         identity = r.TransitionKernel(binary, 1, np.eye(2))
         with pytest.raises(r.ErgodicityError):
             r.stationary_law(identity)
+        # an assumption violation, exit code 4 on the command line
+        assert issubclass(r.ErgodicityError, r.AssumptionViolationError)
 
     def test_periodic_chain_converges(self, binary):
         cycle = r.TransitionKernel(binary, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -363,6 +365,12 @@ class TestKernelIO:
     def test_bad_rows_rejected(self, binary):
         with pytest.raises(r.FormatError):
             r.TransitionKernel(binary, 1, np.array([[0.6, 0.6], [0.4, 0.6]]))
+
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_rows_rejected(self, binary, row):
+        # NaN compares false, so a check written as "reject if < 0" passes it
+        with pytest.raises(r.FormatError):
+            r.TransitionKernel(binary, 1, np.array([row, [0.5, 0.5]]))
 
 
 @settings(max_examples=25, deadline=None)
