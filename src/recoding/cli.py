@@ -48,6 +48,7 @@ from .errors import (
 from .fragmentation import decompose, empirical_fragmented_loss, fragment, make_map
 from .ngram import in_sample_log_loss, optimal_predictor
 from .sources import (
+    DEFAULT_TABLE_BUDGET,
     Alphabet,
     TransitionKernel,
     conditional_entropy,
@@ -251,7 +252,11 @@ def _run(experiment: str, cfg: dict, **groups) -> tuple[Path, list[str]]:
     blob = json.dumps({"experiment": experiment, "seeds": cfg["seeds"], **groups},
                       sort_keys=True, separators=(",", ":"))
     out = Path(os.environ.get("RECODING_OUT", "")) / cfg["output_dir"]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise ParameterError(f"--output-dir: cannot make the directory {out}: "
+                             f"{exc.strerror}") from None
     return out, [f"# config_hash={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
                  "# seeds=" + ";".join(str(s) for s in cfg["seeds"]),
                  f"# artifact_version={__version__}"]
@@ -260,8 +265,13 @@ def _run(experiment: str, cfg: dict, **groups) -> tuple[Path, list[str]]:
 def _draw(cfg: dict, seed: int, **source) -> tuple[TransitionKernel, np.ndarray]:
     """A seed's kernel and its n-symbol sequence.  The kernel is the
     `--kernel` file if one is given, else sampled from cfg's source keys,
-    with `source`'s values in place of any of them."""
+    with `source`'s values in place of any of them.  An n beyond
+    `DEFAULT_TABLE_BUDGET` symbols is a CapacityError, raised before
+    anything is drawn."""
     src = {**cfg, **source}
+    if src["n"] > DEFAULT_TABLE_BUDGET:
+        raise CapacityError(f"--n: {src['n']} symbols exceed the budget of "
+                            f"{DEFAULT_TABLE_BUDGET}")
     if src.get("kernel") is not None:
         kernel = TransitionKernel.load(src["kernel"])
     else:

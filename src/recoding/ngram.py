@@ -164,13 +164,17 @@ def log_loss(predictor: ContextPredictor, sequence) -> float:
 
 
 def log_loss_total(predictor: ContextPredictor, sequence) -> float:
-    """Cumulative (unnormalized) log-loss over positions after the first w."""
+    """Cumulative (unnormalized) log-loss over positions after the first w.
+    Each position's q is one entry of the flat table, at context * A +
+    symbol."""
     seq = predictor.alphabet.encode(sequence)
     w, n = predictor.w, len(seq)
     if n <= w:
         raise DataError("sequence must be longer than the context length")
-    rows = predictor.rows_for(predictor.context_codes(seq)[: n - w])
-    probs = rows[np.arange(n - w), seq[w:]]
+    at = predictor.context_codes(seq)[: n - w]
+    at *= predictor.alphabet.size
+    at += seq[w:]
+    probs = predictor.table.ravel()[at]
     if np.any(probs <= 0):
         return math.inf
     return float(-np.sum(np.log2(probs)))

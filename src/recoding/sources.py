@@ -72,9 +72,11 @@ class Alphabet:
         return len(self.symbols)
 
     def encode(self, data) -> np.ndarray:
-        """Coerce a string, label sequence, or index array to int32 indices."""
+        """The symbol indices of a string, a label sequence, or an index
+        array: an integer array whose items take at most 4 bytes as it is,
+        anything else as int32."""
         if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
-            idx = data.astype(np.int32, copy=False)
+            idx = data
         else:
             seq = data if isinstance(data, str) else list(data)
             if isinstance(seq, str) or (seq and isinstance(seq[0], str)):
@@ -87,7 +89,7 @@ class Alphabet:
                 idx = np.asarray(seq, dtype=np.int32)
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             raise AlphabetError("symbol index out of range")
-        return idx
+        return idx if idx.dtype.itemsize <= 4 else idx.astype(np.int32)
 
     def decode(self, indices) -> str:
         idx = np.asarray(indices)
@@ -171,11 +173,23 @@ class TransitionKernel:
 
 def read_json(path):
     """The JSON value stored in a file; FormatError if the file does not
-    hold JSON text."""
+    hold JSON text or an object in it repeats a key."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except FormatError as exc:
+        raise FormatError(f"{path} {exc}") from None
     except ValueError as exc:  # also undecodable bytes
         raise FormatError(f"{path} does not hold JSON: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; FormatError naming a key it repeats, which
+    a plain dict would resolve silently to its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FormatError(f"repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def json_fields(obj, what: str, *keys: str) -> list:
@@ -345,6 +359,9 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     the true run where two chains that share uniforms couple.  Slowly
     mixing chains can linger near the most probable context, even for
     whole chunks, and the second start covers the rest of the time.
+
+    The symbols come in the smallest unsigned dtype that holds A - 1,
+    uint8 for up to 256 symbols.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -360,8 +377,9 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     cum = np.cumsum(kernel.probs, axis=1)
     cum[:, -1] = 1.0
 
+    dtype = np.min_scalar_type(a - 1)
     if k == 0:
-        return np.searchsorted(cum[0], rng.random(n), side="right").astype(np.int32)
+        return np.searchsorted(cum[0], rng.random(n), side="right").astype(dtype)
 
     states = a**k
     rows = cum.tolist()
@@ -395,7 +413,7 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     def draw(pos: int, size: int) -> np.ndarray:
         return rng.random(size)  # the stream is read in order
 
-    out = np.empty(n, dtype=np.int32)
+    out = np.empty(n, dtype=dtype)
     pos = 0
     guesses = tuple(np.argsort(-law.pi, kind="stable")[:2].tolist())
     # chains that share uniforms take longer to couple the more contexts there are
@@ -525,7 +543,7 @@ def write_sequence(path, seq: np.ndarray, alphabet: Alphabet) -> None:
     if alphabet.size > 256:
         raise FormatError("raw sequence files support at most 256 symbols")
     seq = alphabet.encode(seq)
-    Path(path).write_bytes(seq.astype(np.uint8).tobytes())
+    Path(path).write_bytes(seq.astype(np.uint8, copy=False).tobytes())
     sidecar = {"alphabet": list(alphabet.symbols), "length": int(seq.size)}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True))
 
@@ -539,7 +557,7 @@ def read_sequence(path) -> tuple[np.ndarray, Alphabet]:
     raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
     if raw.size != length:
         raise FormatError("sequence file length does not match sidecar")
-    seq = raw.astype(np.int32)
+    seq = raw.copy()  # writable, and uint8 as `sample_sequence` returns it
     if seq.size and seq.max() >= alphabet.size:
         raise FormatError("sequence contains indices outside the alphabet")
     return seq, alphabet

@@ -147,7 +147,9 @@ class PrefixVocabulary:
 
 @dataclass
 class TokenSequence:
-    """The token ids of a parse and the vocabulary they index."""
+    """The token ids of a parse and the vocabulary they index.  A parse's
+    ids come in the smallest unsigned dtype that holds the vocabulary's
+    size, so that an id plus 1, its trie node, fits too."""
 
     vocab: PrefixVocabulary
     ids: np.ndarray
@@ -178,7 +180,8 @@ def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
     From node v, symbol s leads to v's child for s, or else to the root's
     child for s.  A child lies one level deeper than its parent, so a
     node of depth 1 means a restart: the node before it ends a token, and
-    the last node ends the last token.
+    the last node ends the last token.  The ids are read off the states
+    through a state-to-id table, in `TokenSequence`'s dtype.
     """
     seq = vocab.alphabet.encode(y_sequence)
     a = vocab.alphabet.size
@@ -203,25 +206,22 @@ def greedy_parse(vocab: PrefixVocabulary, y_sequence) -> TokenSequence:
 
     restart = np.zeros(flat.size, dtype=bool)
     restart[::a] = vocab.depth == 1
-    ids = [np.zeros(0, dtype=np.int32)]  # per block, the ids of the tokens ending in it
+    # the id of the token that ends in each state: v - 1 at node v, state v * a
+    token = np.zeros(flat.size, dtype=np.min_scalar_type(vocab.size))
+    token[a::a] = np.arange(vocab.size)
+    ids = [token[:0]]  # per block, the ids of the tokens ending in it
     prev = 0  # the state before the block; the root before the first
     # parses started at arbitrary offsets mostly rejoin the true parse
     # within a few symbols
     for states in run_states(len(seq), read, 0, advance, run, (0,), 1, flat.size):
         # the state before each restart ends a token
-        at = np.flatnonzero(restart[states])
-        first = at.size and at[0] == 0
-        at -= 1  # in place: the positions are the one full-width temporary
-        ended = states[at]
-        del at
-        if first:
-            ended[0] = prev
-        # signed before `// a - 1`, which would wrap in the unsigned states
-        ended = ended.astype(np.int32) // a - 1
-        ids.append(ended if prev else ended[1:])
+        ends = restart[states]
+        if prev and ends[0]:
+            ids.append(token[prev : prev + 1])
+        ids.append(token[states[:-1][ends[1:]]])
         prev = int(states[-1])
     if len(seq):
-        ids.append(np.array([prev // a - 1], dtype=np.int32))
+        ids.append(token[prev : prev + 1])
     return TokenSequence(vocab, np.concatenate(ids))
 
 
@@ -230,10 +230,12 @@ def expand(vocab: PrefixVocabulary, tokens) -> np.ndarray:
     ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
         raise FormatError("unknown token id")
-    lens = vocab.depth[ids + 1]
+    # the nodes ids + 1, in a dtype that holds the largest (a parse's holds it already)
+    nodes = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(vocab.size)), copy=False) + 1
+    lens = vocab.depth[nodes]
     # each output symbol's index in flat: its token's start minus the
     # token's output offset, plus its own output position
-    shift = vocab.start[ids + 1] - (np.cumsum(lens) - lens)
+    shift = vocab.start[nodes] - (np.cumsum(lens) - lens)
     index = np.repeat(shift, lens)
     index += np.arange(index.size)
     return vocab.flat[index]

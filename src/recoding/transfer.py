@@ -28,6 +28,9 @@ from .errors import DataError, ParameterError, PositivityError
 from .ngram import ContextPredictor, log_loss_total
 from .tokenizer import PrefixVocabulary, TokenSequence, expand, greedy_parse
 
+# `_evaluate` reads the stop terms' probability rows for this many tokens at a time.
+_SLICE = 1 << 16
+
 
 @dataclass
 class TokenLossBreakdown:
@@ -104,7 +107,9 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     log-loss over the token's symbols plus the log of a stop-probability
     ratio; both pieces read the source context from the global sequence,
     which is legitimate exactly when the window span reaches the
-    predictor's context length (guaranteed by the gate).
+    predictor's context length (guaranteed by the gate).  A symbol's q is
+    one entry of the flat table, at context * A + symbol; the stop terms
+    read whole rows, for 2^16 valid tokens at a time.
     """
     vocab = tp.vocab
     if stream.vocab is not vocab and not np.array_equal(stream.vocab.trans, vocab.trans):
@@ -112,7 +117,7 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     q = tp.q
     w = tp.w
     ws = q.w
-    ids = stream.ids.astype(np.int64)
+    ids = stream.ids
     m = len(ids)
     if m - 1 <= w:
         raise DataError("token stream too short to evaluate")
@@ -120,29 +125,37 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     y = expand(vocab, ids)
     n = len(y)
 
-    ii = np.arange(w, m - 1)
-    # the span of the w tokens before each evaluated one
+    # tokens w .. m-2 are evaluated, each after the span of the w before it
     valid = stream.window_spans(w)[: m - 1 - w] >= gate
 
     # greedy maximality: the first symbol of a token never extends its
     # predecessor, otherwise the parse would have kept growing
     ext = vocab.ext_mask
-    if np.any(ext[ids[ii - 1], vocab.first_symbols[ids[ii]]]):
+    if np.any(ext[ids[w - 1 : m - 2], vocab.first_symbols[ids[w : m - 1]]]):
         raise ParameterError("stream is not a greedy parse under this vocabulary")
 
-    losses = np.full(ii.size, math.log2(vocab.size))
-    stops = np.full(ii.size, np.nan)
+    losses = np.full(m - 1 - w, math.log2(vocab.size))
+    stops = np.full(m - 1 - w, np.nan)
     if np.any(valid) and n >= ws:
-        rows = q.rows_for(q.context_codes(y))
-        pos_probs = rows[np.arange(n - ws), y[ws:]]
-        cum = np.concatenate([[0.0], np.cumsum(np.log2(pos_probs))])
+        codes = q.context_codes(y)  # entry j: the context of source position j + ws
+        logq = q.table.ravel()[codes[:-1] * q.alphabet.size + y[ws:]]
+        np.log2(logq, out=logq)
+        cum = np.zeros(n - ws + 1)
+        np.cumsum(logq, out=cum[1:])
+        del logq
 
-        vi = ii[valid]
+        vi = np.flatnonzero(valid) + w
         s_idx = stream.offsets[vi] - ws
         e_idx = stream.offsets[vi + 1] - ws
         seqlog = cum[e_idx] - cum[s_idx]
-        stop = 1.0 - np.einsum("ij,ij->i", rows[e_idx], ext[ids[vi]].astype(np.float64))
-        den = 1.0 - np.einsum("ij,ij->i", rows[s_idx], ext[ids[vi - 1]].astype(np.float64))
+        stop = np.empty(vi.size)
+        den = np.empty(vi.size)
+        for lo in range(0, vi.size, _SLICE):
+            part = slice(lo, lo + _SLICE)
+            stop[part] = 1.0 - np.einsum("ij,ij->i", q.table[codes[e_idx[part]]],
+                                         ext[ids[vi[part]]].astype(np.float64))
+            den[part] = 1.0 - np.einsum("ij,ij->i", q.table[codes[s_idx[part]]],
+                                        ext[ids[vi[part] - 1]].astype(np.float64))
         if np.any(stop <= 0) or np.any(den <= 0):
             raise PositivityError("stop probability vanished on an interior token")
         losses[valid] = -(seqlog + np.log2(stop) - np.log2(den))

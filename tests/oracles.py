@@ -12,7 +12,9 @@ next-token distribution, the grouping of rows on their raw bytes and the
 sorted n-gram count are the package's own earlier code, kept here as the
 references for its faster replacements; so are the reshape step of the
 context chain and its direct solve, which the package now runs on one
-sparse chain matrix.
+sparse chain matrix, and the token losses and log-loss total read from
+an (n, A) table of probability rows, which the package now reads from
+the flat table one entry per position.
 """
 
 from __future__ import annotations
@@ -544,3 +546,50 @@ def oracle_parse_loop(vocab, y_sequence) -> np.ndarray:
     if len(seq):
         append(node)
     return np.array(out, dtype=np.int32) - 1
+
+
+def oracle_row_evaluate(tp, stream, gate: int) -> dict:
+    """`transfer._evaluate`'s per-token losses, stops, valid mask and alpha,
+    from the (n, A) rows of every context of the expanded stream."""
+    vocab = tp.vocab
+    q = tp.q
+    w = tp.w
+    ws = q.w
+    ids = stream.ids.astype(np.int64)
+    m = len(ids)
+    y = expand(vocab, ids)
+    n = len(y)
+
+    ii = np.arange(w, m - 1)
+    valid = stream.window_spans(w)[: m - 1 - w] >= gate
+    ext = vocab.ext_mask
+    assert not np.any(ext[ids[ii - 1], vocab.first_symbols[ids[ii]]])
+
+    losses = np.full(ii.size, math.log2(vocab.size))
+    stops = np.full(ii.size, np.nan)
+    if np.any(valid) and n >= ws:
+        rows = q.rows_for(q.context_codes(y))
+        pos_probs = rows[np.arange(n - ws), y[ws:]]
+        cum = np.concatenate([[0.0], np.cumsum(np.log2(pos_probs))])
+
+        vi = ii[valid]
+        s_idx = stream.offsets[vi] - ws
+        e_idx = stream.offsets[vi + 1] - ws
+        seqlog = cum[e_idx] - cum[s_idx]
+        stop = 1.0 - np.einsum("ij,ij->i", rows[e_idx], ext[ids[vi]].astype(np.float64))
+        den = 1.0 - np.einsum("ij,ij->i", rows[s_idx], ext[ids[vi - 1]].astype(np.float64))
+        losses[valid] = -(seqlog + np.log2(stop) - np.log2(den))
+        stops[valid] = stop
+    return {"losses": losses, "valid": valid, "stops": stops,
+            "alpha": float(stream.offsets[-1] / m)}
+
+
+def oracle_row_log_loss_total(predictor, seq) -> float:
+    """`ngram.log_loss_total` from the (n - w, A) rows of the scored
+    positions' contexts."""
+    w, n = predictor.w, len(seq)
+    rows = predictor.rows_for(predictor.context_codes(seq)[: n - w])
+    probs = rows[np.arange(n - w), seq[w:]]
+    if np.any(probs <= 0):
+        return math.inf
+    return float(-np.sum(np.log2(probs)))

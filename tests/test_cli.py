@@ -483,6 +483,9 @@ INPUT_FILES = {
     "nan_kernel.json": json.dumps(
         {"alphabet": ["0", "1"], "order": 1, "probs": [float("nan")] * 2 + [0.5] * 2}),
     "one_symbol.txt": "aaaa",
+    "twice_kernel.json":
+        '{"alphabet": ["0", "1"], "order": 1, "order": 1, "probs": [0.5, 0.5, 0.5, 0.5]}',
+    "twice_vocab.json": '{"alphabet": ["0", "1"], "entries": ["01"], "entries": ["01"]}',
 }
 
 
@@ -525,6 +528,12 @@ class TestBadInput:
          None, "transition probabilities must be non-negative numbers"),
         (["span-cdf", "--text", "one_symbol.txt", "--sizes", "1", "--windows", "1"], None,
          "needs at least 2 distinct symbols"),
+        # a repeated key is an error in every JSON input, not its last value
+        (["gen-source"], '{"n": 100, "n": 200}', "cfg.json repeats the key 'n'"),
+        (["heavy-hitting", "--kernel", "twice_kernel.json", "--n", "1000", "--budgets", "4"],
+         None, "twice_kernel.json repeats the key 'order'"),
+        (["span-cdf", "--order", "1", "--n", "2000", "--vocab", "twice_vocab.json"], None,
+         "twice_vocab.json repeats the key 'entries'"),
     ])
     def test_exit_2_naming_the_key_or_flag(self, runner, tmp_path, argv, config, named):
         inputs = [arg for arg in argv if arg in INPUT_FILES]
@@ -539,6 +548,29 @@ class TestBadInput:
         result = runner.invoke(main, argv + ["--output-dir", str(tmp_path)])
         assert_config_error(result, named)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_output_dir_not_a_directory(self, runner, tmp_path, inside):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub" if inside else tmp_path / "taken"
+        result = runner.invoke(main, ["gen-source", "--n", "100", "--output-dir", str(out)])
+        assert_config_error(result, "--output-dir")
+
+    @pytest.mark.parametrize("command", ["gen-source", "tok-train"])
+    def test_n_beyond_the_budget_exit_3(self, runner, tmp_path, command):
+        # refused before anything is drawn, so no array of 10^12 symbols is asked for
+        result = runner.invoke(main, [command, "--n", str(10**12), "--output-dir", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "capacity error: --n" in lines[0], result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_at_the_budget_runs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_TABLE_BUDGET", 1000)
+        for n, code in ((1000, 0), (1001, 3)):
+            result = runner.invoke(main, ["gen-source", "--n", str(n),
+                                          "--output-dir", str(tmp_path)])
+            assert result.exit_code == code, result.output
 
     def test_vocab_file_not_json(self, runner, tmp_path):
         vpath = tmp_path / "vocab.json"

@@ -73,7 +73,7 @@ def check_sample(kernel, n, seed, chunk_lengths=lengths):
     for length in chunk_lengths(n):
         with chunk_length(length):
             got = r.sample_sequence(kernel, n, seed)
-        assert got.dtype == np.int32
+        assert got.dtype == np.min_scalar_type(kernel.alphabet_size - 1)
         assert np.array_equal(got, expected), length
 
 
@@ -82,7 +82,7 @@ def check_parse(vocab, seq):
     for length in lengths(len(seq)):
         with chunk_length(length):
             got = r.greedy_parse(vocab, seq).ids
-        assert got.dtype == np.int32
+        assert got.dtype == np.min_scalar_type(vocab.size)
         assert np.array_equal(got, expected), length
 
 
@@ -105,6 +105,14 @@ class TestSampleMatchesLoop:
         """256 order-1 contexts fill a uint8, and the alphabet size is the
         one count past its range: the symbols are still each state mod A."""
         check_sample(r.sample_kernel(256, 1, 0.3, 3), 700, 3)
+
+    @pytest.mark.parametrize("a, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_symbol_dtype_around_256(self, a, dtype, order):
+        """Symbols come in the smallest unsigned dtype that holds A - 1."""
+        kernel = r.sample_kernel(a, order, 0.3, a)
+        assert r.sample_sequence(kernel, 10, 1).dtype == dtype
+        check_sample(kernel, 700, 1)
 
     @pytest.mark.parametrize("order", [8, 9, 16, 17])
     def test_state_counts_around_dtype_limits(self, order):
@@ -422,8 +430,8 @@ def check_pinned(source):
     assert digest(seq.astype(np.int32).tobytes()) == seq_digest
     bpe, lzw = r.train_vocabularies(seq[:200_000], kernel.alphabet,
                                     [("bpe", a + 6), ("lzw", a + 30)])
-    assert digest(r.greedy_parse(bpe, seq).ids.tobytes()) == bpe_digest
-    assert digest(r.greedy_parse(lzw, seq).ids.tobytes()) == lzw_digest
+    assert digest(r.greedy_parse(bpe, seq).ids.astype(np.int32).tobytes()) == bpe_digest
+    assert digest(r.greedy_parse(lzw, seq).ids.astype(np.int32).tobytes()) == lzw_digest
 
 
 class TestPinnedDigests:

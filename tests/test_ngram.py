@@ -10,7 +10,7 @@ import recoding as r
 from recoding import ngram
 from recoding.ngram import _count_table, rank_codes, window_codes
 from oracles import (oracle_count_table, oracle_dense_predictor, oracle_fit, oracle_log_loss,
-                     oracle_window_law)
+                     oracle_row_log_loss_total, oracle_window_law)
 
 
 
@@ -153,6 +153,24 @@ class TestLogLoss:
         pred = r.fit("0101", 2, 0.5, binary)
         with pytest.raises(r.DataError):
             r.log_loss(pred, "01")
+
+
+class TestLogLossTotalMatchesRows:
+    """Bit for bit against the total that read every context's row, for
+    exact, fitted and unsmoothed fitted predictors (infinite where a
+    symbol gets probability 0)."""
+
+    @pytest.mark.parametrize("a", [2, 3, 5])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_bit_for_bit(self, a, w):
+        k = r.sample_kernel(a, 2, 0.5, 50 + a)
+        seq = r.sample_sequence(k, 100_000, 50 + a)
+        totals = []
+        for q in (r.optimal_predictor(k, w), r.fit(seq[:2000], w, 0.5, k.alphabet),
+                  r.fit(seq[:2000], w, 0.0, k.alphabet)):
+            totals.append(r.log_loss_total(q, seq))
+            assert totals[-1] == oracle_row_log_loss_total(q, seq)
+        assert math.isfinite(totals[0]) and math.isfinite(totals[1])
 
 
 class TestCountTable:

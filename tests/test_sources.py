@@ -50,6 +50,16 @@ class TestAlphabet:
             a.encode([0, 3])
 
 
+    def test_index_arrays_kept_narrow_and_checked_before_narrowing(self):
+        a = r.Alphabet(("x", "yy", "z"))
+        for dtype in (np.uint8, np.int16, np.uint32):
+            idx = np.array([2, 0, 2], dtype=dtype)
+            assert a.encode(idx) is idx
+        assert a.encode(np.array([2, 0, 2])).dtype == np.int32
+        with pytest.raises(r.AlphabetError):
+            a.encode(np.array([2**32 + 1]))  # 1 once cut to 32 bits
+
+
 class TestSampleKernel:
     def test_rows_normalized(self):
         k = r.sample_kernel(2, 2, 0.5, 0)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestParseMatchesOracle:
     @staticmethod
     def check(vocab, seq):
         ids = r.greedy_parse(vocab, seq).ids
-        assert ids.dtype == np.int32
+        assert ids.dtype == np.min_scalar_type(vocab.size)
         assert ids.tolist() == oracle_ids(vocab, seq)
         assert np.array_equal(r.expand(vocab, ids), seq)
         check_tables(vocab)
@@ -182,6 +183,23 @@ class TestParseMatchesOracle:
         assert unit_tuples(seq, 360, 300) == oracle_bpe_units(seq, 360, 300)
         self.check(r.train_bpe(seq, 360, alphabet), seq)
         self.check(r.train_lzw(seq, 400, alphabet), seq)
+
+    @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_id_dtype_around_256(self, binary, size, dtype):
+        """Every binary string of up to 7 symbols makes 254 entries, and
+        one or two of 8 symbols 255 or 256.  The last id, that of
+        11111111, plus 1 is its node: a uint8 holds it only for 255."""
+        extra = ["11111111", "11111110"][: size - 254]
+        vocab = r.PrefixVocabulary(binary, ["".join(s) for s in product("01", repeat=7)] + extra)
+        assert vocab.size == size
+        seq = np.concatenate([np.ones(8), generator(size, 95).integers(0, 2, size=3000)])
+        seq = seq.astype(np.uint8)  # a parse starts with 11111111
+        self.check(vocab, seq)
+        ids = r.greedy_parse(vocab, seq).ids
+        assert ids.dtype == dtype and ids.max() == size - 1
+        # ids of a narrower dtype than a parse's are widened before they are read as nodes
+        last = np.array([size - 1], dtype=np.uint8)
+        assert r.expand(vocab, r.TokenSequence(vocab, last)).tolist() == [1] * 8
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 63, 64, 100, 1024, 1025])
     def test_all_equal(self, binary, n):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import recoding as r
-from oracles import oracle_next_token_distribution, oracle_token_losses
+import recoding.transfer as transfer
+from oracles import oracle_next_token_distribution, oracle_row_evaluate, oracle_token_losses
 from recoding.rng import generator
 
 
@@ -181,6 +182,41 @@ class TestEvaluateMatchesNextTokenDistribution:
             assert abs(bd.losses[j] + math.log2(dist[ids[i]])) <= 1e-12
         if case == "lzw":
             assert 0 < bd.bad_window_fraction() < 1  # both paths are exercised
+
+
+@pytest.fixture(scope="module", params=[2, 3, 5])
+def long_stream(request):
+    """An order-2 source over A symbols, 300,000 of its symbols, and their
+    parse by BPE at A + 2 units: more tokens than one of `_evaluate`'s
+    slices holds."""
+    a = request.param
+    k = r.sample_kernel(a, 2, 0.5, 40 + a)
+    seq = r.sample_sequence(k, 300_000, 40 + a)
+    vocab = r.train_bpe(seq[:20_000], a + 2, k.alphabet)
+    return k, vocab, r.greedy_parse(vocab, seq)
+
+
+class TestEvaluateMatchesRows:
+    """Losses, stops, valid mask, alpha and total bit for bit against the
+    evaluation that read every context's (n, A) row, with every window
+    valid and with a gate that some windows miss."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_bit_for_bit(self, long_stream, w):
+        k, vocab, stream = long_stream
+        tp = r.TransferredPredictor(r.optimal_predictor(k, w).smoothed(1e-3), vocab, w)
+        for gate in (w, w + 1):
+            got = r.TypicalPredictor(tp, gate).token_log_losses(stream)
+            want = oracle_row_evaluate(tp, stream, gate)
+            assert np.array_equal(got.losses, want["losses"])
+            assert np.array_equal(got.stops, want["stops"], equal_nan=True)
+            assert np.array_equal(got.valid, want["valid"])
+            assert got.alpha == want["alpha"]
+            assert got.total() == float(want["losses"].sum())
+            if gate == w:
+                assert got.valid.sum() > transfer._SLICE
+            else:
+                assert 0 < got.bad_window_fraction() < 1
 
 
 class TestBoundedDifference:
