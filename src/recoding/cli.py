@@ -56,12 +56,13 @@ from .sources import (
     read_json,
     sample_kernel,
     sample_sequence,
+    stationary_law,
     write_sequence,
 )
 from .spans import (
     compression_stats,
     heavy_hitting_report,
-    slack_curve,
+    positive_delta,
     span_distribution,
     worst_case_span,
 )
@@ -262,21 +263,24 @@ def _run(experiment: str, cfg: dict, **groups) -> tuple[Path, list[str]]:
                  f"# artifact_version={__version__}"]
 
 
-def _draw(cfg: dict, seed: int, **source) -> tuple[TransitionKernel, np.ndarray]:
-    """A seed's kernel and its n-symbol sequence.  The kernel is the
-    `--kernel` file if one is given, else sampled from cfg's source keys,
-    with `source`'s values in place of any of them.  An n beyond
-    `DEFAULT_TABLE_BUDGET` symbols is a CapacityError, raised before
-    anything is drawn."""
+def _kernel(cfg: dict, seed: int, **source) -> TransitionKernel:
+    """A seed's kernel: the `--kernel` file if one is given, else sampled
+    from cfg's source keys, with `source`'s values in place of any of them.
+    An n beyond `DEFAULT_TABLE_BUDGET` symbols is a CapacityError, raised
+    before anything is drawn."""
     src = {**cfg, **source}
     if src["n"] > DEFAULT_TABLE_BUDGET:
         raise CapacityError(f"--n: {src['n']} symbols exceed the budget of "
                             f"{DEFAULT_TABLE_BUDGET}")
     if src.get("kernel") is not None:
-        kernel = TransitionKernel.load(src["kernel"])
-    else:
-        kernel = sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
-    return kernel, sample_sequence(kernel, src["n"], seed)
+        return TransitionKernel.load(src["kernel"])
+    return sample_kernel(src["alphabet_size"], src["order"], src["dirichlet_alpha"], seed)
+
+
+def _draw(cfg: dict, seed: int, **source) -> tuple[TransitionKernel, np.ndarray]:
+    """A seed's kernel (`_kernel`) and its n-symbol sequence."""
+    kernel = _kernel(cfg, seed, **source)
+    return kernel, sample_sequence(kernel, {**cfg, **source}["n"], seed)
 
 
 def _exact_transfer(kernel: TransitionKernel, vocab: PrefixVocabulary, stream, w: int,
@@ -519,7 +523,7 @@ def run_span_cdf(cfg: dict) -> None:
             report = span_distribution(stream, w)
             spans = sorted(report.span_histogram)
             sweep = _ws_sweep(w, cfg["span_max_mult"], spans[0], spans[-1])
-            curve = slack_curve(stream, w, sweep)
+            curve = report.slack(sweep)
             report.slack_curve = curve
             reports.append((out / f"spans_{label}_{name}_w{w}.json", report))
             for ws, eps, slack in curve:
@@ -642,11 +646,16 @@ def run_heavy_hitting(cfg: dict) -> None:
     rows = []
     payloads = []  # written only once every (seed, budget) succeeded
     for seed in cfg["seeds"]:
-        kernel, seq = _draw(cfg, seed)
+        kernel = _kernel(cfg, seed)
+        # the source's assumptions fail before anything is sampled: a
+        # reducible chain in its stationary law, which sampling needs, then
+        # a zero transition probability
+        stationary_law(kernel)
+        positive_delta(kernel)
+        seq = sample_sequence(kernel, cfg["n"], seed)
         vocabs = _train("--budgets", seq, kernel.alphabet, [("lzw", d) for d in budgets])
         for d, vocab in zip(budgets, vocabs):
             stream = greedy_parse(vocab, seq)
-            # AssumptionViolationError on a zero transition probability
             report = heavy_hitting_report(kernel, stream, cfg["beta"], d, w)
             payload = report.to_json()
             # end-to-end loss bound via the typical transferred predictor

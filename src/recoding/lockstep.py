@@ -7,9 +7,12 @@ chunks of one length, and every chunk advances at once, one numpy step per
 position, from each of a few guessed start states.  Every chunk but the
 first starts its guesses' runs a few positions early, over the last inputs
 of the chunk before it, so that runs which couple within those positions
-reach the chunk start in the true state already (warm-up).  The
-speculative runs are stored time-major, step t of every guess and chunk in
-one contiguous row, in the smallest unsigned dtype that holds the
+reach the chunk start in the true state already (warm-up).  A block whose
+chunks are at most `_TILE` positions long is read at once; a block of
+longer chunks is read in tiles, `_TILE` positions of every chunk at a
+time, so that the inputs held at once do not grow with the chunks.  The
+speculative runs are stored time-major, step t of every chunk in one
+contiguous row per guess, in the smallest unsigned dtype that holds the
 machine's state count; the live states and the caller's tables stay int64.
 The seams are then repaired in order.  A chunk whose true start state is
 the state one of its runs holds at the chunk start is already right.
@@ -18,7 +21,9 @@ state, over slices of doubling width, until a slice ends in a state that a
 speculative run of the chunk holds at that index.  From there both runs
 read the same input from the same state, so that run is right for the
 rest of the chunk.  The states are therefore exactly those of one
-sequential run, whatever the chunk length and the warm-up.
+sequential run, whatever the chunk length, the warm-up and the tiles.
+With two guesses or more, the repaired states are laid out in input order
+over the last guess's runs, which the repair no longer needs.
 
 A seam whose runs never meet costs its whole chunk twice.  So after each
 block the chunk length grows fourfold when more than half of the block
@@ -33,10 +38,14 @@ import math
 import numpy as np
 
 _BLOCK = 1 << 22
+# Chunks up to this long are read with their whole block; longer ones in
+# tiles of this many positions per chunk.
+_TILE = 1 << 11
 # Below this many chunks a lockstep step costs more than the positions it
 # advances would cost one at a time.
 _MIN_CHUNKS = 32
-# The first rerun slice at a seam; each further slice is twice as wide.
+# The first rerun slice at a seam; each further slice is twice as wide, up
+# to `_TILE`.
 _FIRST_SLICE = 8
 # The longest slice run one position at a time in one call: its states are
 # a list of Python ints.
@@ -50,14 +59,16 @@ def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling:
     the smallest unsigned dtype that holds `states`, the machine's state
     count (states are 0 .. states - 1).
 
-    read(pos, size) returns inputs pos .. pos + size - 1 as an array, and is
-    called for consecutive ranges in order; run(state, xs) returns the
-    state after each input of xs as a list, one position at a time;
-    advance(states, xs) does one step of many runs at once: it maps a
-    (guesses, chunks) int64 array of states and the chunks' next inputs to
-    their next states.  `guesses` are the speculative start states, and
-    `coupling` a first guess at how many positions two runs from
-    different states take to meet.
+    read(pos, size) returns inputs pos .. pos + size - 1 as an array, for
+    any range and in any order; a block of chunks longer than `_TILE` asks
+    for at most `_TILE` positions of one chunk per call, and reads each
+    chunk's tiles in order.  run(state, xs) returns the state after each
+    input of xs as a list, one position at a time; advance(states, xs)
+    does one step of many runs at once: it maps a (guesses, chunks) int64
+    array of states and the chunks' next inputs to their next states.
+    `guesses` are the speculative start states, and `coupling` a first
+    guess at how many positions two runs from different states take to
+    meet.
     """
     dtype = np.min_scalar_type(states - 1)
     length = _first_length(min(n, _BLOCK), coupling)
@@ -76,6 +87,7 @@ def run_states(n: int, read, state: int, advance, run, guesses: tuple, coupling:
         yield out
         state = int(out[-1])
         pos += size
+        del out  # before the next block is run
 
 
 def _run_through(read, pos: int, size: int, state: int, run, dtype) -> np.ndarray:
@@ -100,6 +112,18 @@ def _first_length(size: int, coupling: int) -> int:
     return max(coupling, math.isqrt(size))
 
 
+def _tile(read, starts: range, lo: int, hi: int) -> np.ndarray:
+    """Inputs lo .. hi - 1 of each chunk that starts at one of `starts`,
+    one row per chunk."""
+    tile = None
+    for row, start in enumerate(starts):
+        xs = read(start + lo, hi - lo)
+        if tile is None:
+            tile = np.empty((len(starts), hi - lo), dtype=xs.dtype)
+        tile[row] = xs
+    return tile
+
+
 def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
               guesses: tuple, dtype, warm: int):
     """The state after every one of the `size` positions from `pos` on,
@@ -107,44 +131,61 @@ def _lockstep(read, pos: int, size: int, state: int, length: int, advance, run,
     every chunk but the first start `warm` (< length) positions early."""
     chunks = size // length
     whole = chunks * length
-    grid = read(pos, whole).reshape(chunks, length)
-    # spec[t, g, c]: chunk c's state after its position t in the run from
-    # guess g; the repair makes spec[:, 0] the answer
-    spec = np.empty((length, len(guesses), chunks), dtype=dtype)
+    starts = range(pos, pos + whole, length)
+    grid = read(pos, whole).reshape(chunks, length) if length <= _TILE else None
+
+    def inputs(rows: slice, lo: int, hi: int) -> np.ndarray:
+        """Inputs lo .. hi - 1 of the chunks `rows`, one row per chunk."""
+        return _tile(read, starts[rows], lo, hi) if grid is None else grid[rows, lo:hi]
+
+    # runs[g, t, c]: chunk c's state after its position t in the run from
+    # guess g; the repair makes runs[0] the answer.  Room for the block's
+    # tail follows the last guess's runs.
+    guessed = len(guesses)
+    buf = np.empty((guessed - 1) * whole + size, dtype=dtype)
+    runs = buf[: guessed * whole].reshape(guessed, length, chunks)
     cur = np.repeat(np.array(guesses, dtype=np.int64)[:, None], chunks, axis=1)
     later = cur[:, 1:]
-    for t in range(length - warm, length):
-        later = advance(later, grid[:-1, t])
+    for lo in range(length - warm, length, _TILE) if chunks > 1 else ():
+        tile = inputs(slice(0, chunks - 1), lo, min(lo + _TILE, length))
+        for t in range(tile.shape[1]):
+            later = advance(later, tile[:, t])
+        del tile  # before the next one is read
     cur[:, 1:] = later
     cur[:, 0] = state
     # start[c][g]: the state chunk c's run from guess g starts the chunk in
     start = cur.T.tolist()
-    for t in range(length):
-        cur = advance(cur, grid[:, t])
-        spec[t] = cur
+    for lo in range(0, length, _TILE):
+        tile = inputs(slice(None), lo, min(lo + _TILE, length))
+        for t in range(tile.shape[1]):
+            cur = advance(cur, tile[:, t])
+            runs[:, lo + t] = cur
+        del tile
 
     rerun = 0
     for c in range(1, chunks):
-        own = spec[:, :, c]  # the chunk's runs, (position in the chunk, guess)
-        state = int(spec[-1, 0, c - 1])
+        own = runs[:, :, c]  # the chunk's runs, (guess, position in the chunk)
+        state = int(runs[0, -1, c - 1])
         met = start[c].index(state) if state in start[c] else -1
         lo, width = 0, _FIRST_SLICE
         while met < 0 and lo < length:
             end = min(lo + width, length)
-            true = run(state, grid[c, lo:end])
+            true = run(state, inputs(slice(c, c + 1), lo, end)[0])
             rerun += end - lo
             state = true[-1]
-            held = own[end - 1].tolist()
+            held = own[:, end - 1].tolist()
             met = held.index(state) if state in held else -1
-            own[lo:end, 0] = true
+            own[0, lo:end] = true
             lo = end
-            width *= 2
+            width = min(2 * width, _TILE)
         if met > 0:
-            own[lo:, 0] = own[lo:, met]
+            own[0, lo:] = own[met, lo:]
     del grid  # the inputs go before the answer is laid out
     # the positions past the last whole chunk have no speculative state
-    tail = _run_through(read, pos + whole, size - whole, int(spec[-1, 0, -1]), run, dtype)
-    states = np.empty(size, dtype=dtype)
-    states[:whole].reshape(chunks, length)[...] = spec[:, 0].T
+    tail = _run_through(read, pos + whole, size - whole, int(runs[0, -1, -1]), run, dtype)
+    # in input order, over the last guess's runs, which the repair no
+    # longer reads, unless they are the answer's
+    states = buf[(guessed - 1) * whole :] if guessed > 1 else np.empty(size, dtype=dtype)
+    states[:whole].reshape(chunks, length)[...] = runs[0].T
     states[whole:] = tail
     return states, rerun + tail.size

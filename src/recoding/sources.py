@@ -42,6 +42,11 @@ _DECAY_WINDOW = 256
 # slower and larger, not faster.
 _GUIDE_CELLS = 1 << 16
 
+# The sampler keeps at most this many positioned generators (under 1 kB
+# each), dropping the least recently used: more than the chunks of one
+# lockstep block, at most 2^11, so only those left by past blocks go.
+_STREAMS = 1 << 12
+
 _LABEL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -226,7 +231,8 @@ def sample_kernel(
     Rows are normalized Gamma(alpha, 1) variates on the kernel stream of
     ``seed``, so the table is a deterministic function of its arguments.
     A table of more than `DEFAULT_TABLE_BUDGET` entries is a CapacityError,
-    raised before anything is drawn.
+    raised before anything is drawn; an alpha so large that a row's sum
+    overflows is a ParameterError.
     """
     if alphabet_size < 2:
         raise ParameterError("alphabet_size must be >= 2")
@@ -242,7 +248,11 @@ def sample_kernel(
         )
     rng = generator(seed, KERNEL_STREAM)
     g = rng.gamma(shape=dirichlet_alpha, scale=1.0, size=(rows, alphabet_size))
-    totals = g.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        totals = g.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise ParameterError(f"--dirichlet-alpha {dirichlet_alpha:g} is too large: "
+                             "a row of its Dirichlet draw sums past the float range")
     if np.any(totals == 0):
         raise ParameterError("degenerate Dirichlet draw (alpha too small)")
     return TransitionKernel(Alphabet.of_size(alphabet_size), order, g / totals)
@@ -349,6 +359,13 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
     how the uniforms are drawn in blocks or how the run is cut into chunks
     (`lockstep.run_states`).
 
+    The run reads the uniforms of a range of symbols in any order.  Each
+    uniform takes one 64-bit output of the stream's PCG64, so symbol i's
+    is output 1 + i, and a read positions a copy of the stream there in
+    O(log i) steps (`advance`, O'Neill 2014).  Every generator so made
+    carries on where its last read ended, so the reads of one chunk of the
+    run, which follow each other, position it once.
+
     A lockstep step finds each run's symbol through a guide table (Chen &
     Asau 1974): the uniform's bucket of [0, 1) fixes the symbol up to the
     few cumulative bounds inside that bucket, so a step compares against
@@ -410,8 +427,19 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
             append(ctx)
         return out
 
+    # generators by the symbol whose uniform each draws next, least recently used first
+    streams = {0: rng}
+
     def draw(pos: int, size: int) -> np.ndarray:
-        return rng.random(size)  # the stream is read in order
+        gen = streams.pop(pos, None)
+        if gen is None:
+            gen = generator(seed, SEQUENCE_STREAM)
+            gen.bit_generator.advance(1 + pos)
+        us = gen.random(size)
+        streams[pos + size] = gen
+        if len(streams) > _STREAMS:
+            del streams[next(iter(streams))]
+        return us
 
     out = np.empty(n, dtype=dtype)
     pos = 0
@@ -421,6 +449,7 @@ def sample_sequence(kernel: TransitionKernel, n: int, seed: int) -> np.ndarray:
         # a signed loop: A itself need not fit the blocks' unsigned dtype
         np.remainder(block, a, out=out[pos : pos + len(block)], dtype=np.int64, casting="unsafe")
         pos += len(block)
+        del block  # before the next one is run
     return out
 
 

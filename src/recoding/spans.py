@@ -6,6 +6,11 @@ stream so the forced start-of-parse boundary does not contaminate the
 stationary picture; `worst_case_span` documents the same convention.
 The fraction of w-token windows spanning fewer than w_s symbols,
 epsilon(w, w_s), is the second column of `slack_curve`.
+
+Every statistic of one stream and one w is read off one histogram of the
+window spans (`_span_counts`), which counts the spans a slice of windows
+at a time: the worst case is its least nonzero bin and epsilon a sum of
+its bins below w_s, so no span array is held and none is sorted.
 """
 
 from __future__ import annotations
@@ -21,12 +26,34 @@ from .errors import AssumptionViolationError, DataError, ParameterError
 from .sources import TransitionKernel, _successors, min_transition_prob
 from .tokenizer import TokenSequence, expand
 
+# `_span_counts` takes the spans of this many windows at a time.
+_SLICE = 1 << 16
 
-def _window_spans(stream: TokenSequence, w: int) -> np.ndarray:
-    """Spans of all length-w sliding windows, the first w tokens dropped."""
-    if len(stream) < 2 * w:
+
+def _span_counts(stream: TokenSequence, w: int) -> np.ndarray:
+    """counts[s]: how many length-w sliding windows, the first w tokens
+    dropped, span s source symbols; int64, up to the longest span."""
+    m = len(stream)
+    if m < 2 * w:
         raise DataError(f"stream too short for {w}-token windows")
-    return stream.window_spans(w)[w:]
+    if w < 1:
+        raise ParameterError("window length must be >= 1")
+    offsets = stream.offsets
+    counts = np.zeros(0, dtype=np.int64)
+    # window j covers tokens j .. j + w - 1; windows w .. m - w are counted
+    for lo in range(w, m - w + 1, _SLICE):
+        hi = min(lo + _SLICE, m - w + 1)
+        part = np.bincount(offsets[lo + w : hi + w] - offsets[lo:hi], minlength=counts.size)
+        part[: counts.size] += counts
+        counts = part
+    return counts
+
+
+def _fractions_below(counts: np.ndarray, w_s_values) -> list[float]:
+    """For each w_s, the fraction of the windows `counts` tallies that span
+    fewer than w_s symbols."""
+    below = [0, *np.cumsum(counts).tolist()]
+    return [below[min(max(math.ceil(ws), 0), counts.size)] / below[-1] for ws in w_s_values]
 
 
 @dataclass
@@ -40,6 +67,17 @@ class SpanReport:
     rate: float
     token_count: int
     slack_curve: list[tuple[int, float, float]] = field(default_factory=list)
+    # the histogram's counts (`_span_counts`) and epsilon's weight in the
+    # slack column, R * log2|Y|; `slack` reads them, `to_json` does not
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
+                               repr=False, compare=False)
+    slack_scale: float = field(default=0.0, repr=False, compare=False)
+
+    def slack(self, w_s_values) -> list[tuple[int, float, float]]:
+        """Rows (w_s, epsilon, epsilon * R * log2|Y|) over a span target
+        sweep, from this report's histogram."""
+        return [(int(ws), eps, eps * self.slack_scale)
+                for ws, eps in zip(w_s_values, _fractions_below(self.counts, w_s_values))]
 
     def to_json(self) -> dict:
         return {
@@ -71,39 +109,34 @@ def compression_stats(stream: TokenSequence) -> tuple[float, float]:
 
 
 def span_distribution(stream: TokenSequence, w: int) -> SpanReport:
-    """Empirical span histogram over sliding windows of w tokens."""
-    spans = _window_spans(stream, w)
-    values, counts = np.unique(spans, return_counts=True)
+    """Empirical span histogram over sliding windows of w tokens; its
+    `slack` method reads the slack curve off the same histogram."""
+    counts = _span_counts(stream, w)
+    spans = np.flatnonzero(counts)
     total = counts.sum()
-    hist = {int(v): float(c) / total for v, c in zip(values, counts)}
+    hist = {int(v): float(c) / total for v, c in zip(spans, counts[spans])}
     alpha, rate = compression_stats(stream)
     return SpanReport(
         w=w,
         span_histogram=hist,
-        worst_case_span=int(values[0]),
+        worst_case_span=int(spans[0]),
         alpha=alpha,
         rate=rate,
         token_count=len(stream.ids),
+        counts=counts,
+        slack_scale=rate * math.log2(stream.vocab.alphabet.size),
     )
 
 
 def worst_case_span(stream: TokenSequence, w: int) -> int:
     """Minimum source span of the w-token windows of a greedy parse, the
     first w tokens dropped."""
-    return int(_window_spans(stream, w).min())
+    return int(np.flatnonzero(_span_counts(stream, w))[0])
 
 
 def slack_curve(stream: TokenSequence, w: int, w_s_values) -> list[tuple[int, float, float]]:
     """Rows (w_s, epsilon, epsilon * R * log2|Y|) over a span target sweep."""
-    spans = np.sort(_window_spans(stream, w))
-    _, rate = compression_stats(stream)
-    scale = rate * math.log2(stream.vocab.alphabet.size)
-    out = []
-    total = spans.size
-    for ws in w_s_values:
-        eps = float(np.searchsorted(spans, ws, side="left")) / total
-        out.append((int(ws), eps, eps * scale))
-    return out
+    return span_distribution(stream, w).slack(w_s_values)
 
 
 def p_max(kernel: TransitionKernel, t) -> float:
@@ -119,6 +152,16 @@ def p_max(kernel: TransitionKernel, t) -> float:
         np.maximum.at(nxt, successors[:, sym], best * kernel.probs[:, sym])
         best = nxt
     return float(best.max())
+
+
+def positive_delta(kernel: TransitionKernel) -> float:
+    """The source's least transition probability delta, which the
+    heavy-hitting scale divides by; an AssumptionViolationError when it is
+    zero."""
+    delta = min_transition_prob(kernel)
+    if delta <= 0:
+        raise AssumptionViolationError("source has a zero transition probability")
+    return delta
 
 
 @dataclass
@@ -179,9 +222,7 @@ def heavy_hitting_report(
     """
     if not 0 < beta < 1:
         raise ParameterError("beta must lie in (0, 1)")
-    delta = min_transition_prob(kernel)
-    if delta <= 0:
-        raise AssumptionViolationError("source has a zero transition probability")
+    delta = positive_delta(kernel)
     ell_d = beta * math.log2(d) / math.log2(1.0 / delta)
     threshold = d ** (-beta)
 
@@ -201,8 +242,8 @@ def heavy_hitting_report(
     inclusion = bool(np.all(miss_mask[short_mask])) if short_mask.any() else True
 
     window_threshold = math.floor(0.75 * w * ell_d)
-    spans = _window_spans(stream, w)
-    window_fail = float(np.mean(spans < window_threshold))
+    counts = _span_counts(stream, w)
+    window_fail = _fractions_below(counts, [window_threshold])[0]
 
     return HeavyHitReport(
         beta=beta,
@@ -216,7 +257,7 @@ def heavy_hitting_report(
         w=w,
         window_span_threshold=window_threshold,
         window_fail_prob=window_fail,
-        window_fail_se=_bernoulli_se(window_fail, spans.size),
+        window_fail_se=_bernoulli_se(window_fail, int(counts.sum())),
         alpha=alpha,
         rate=rate,
         token_count=m,

@@ -33,6 +33,11 @@ from .lockstep import run_states
 from .sources import Alphabet, encode_corpus, json_alphabet, json_fields, read_json
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+# `TokenSequence.offsets` gathers the lengths of this many tokens at a time.
+_SLICE = 1 << 16
+
+
 def key_dtype(alphabet_size: int) -> np.dtype:
     """Dtype of one symbol of a string in key form."""
     return np.dtype(">u1" if alphabet_size <= 256 else ">u2" if alphabet_size <= 65536 else ">u4")
@@ -160,11 +165,17 @@ class TokenSequence:
     @cached_property
     def offsets(self) -> np.ndarray:
         """Where each token starts in the source, then the source length:
-        m + 1 int64 entries for m tokens, token i spanning source symbols
-        offsets[i] to offsets[i + 1]."""
-        out = np.zeros(len(self.ids) + 1, dtype=np.int64)
-        np.cumsum(self.vocab.lengths[self.ids], out=out[1:])
-        return out
+        m + 1 entries for m tokens, token i spanning source symbols
+        offsets[i] to offsets[i + 1].  They are int32 when the source
+        length fits in it, else int64."""
+        ids, lengths = self.ids, self.vocab.lengths
+        # m times the longest entry bounds the source length
+        wide = len(ids) * int(lengths.max()) > _INT32_MAX
+        out = np.zeros(len(ids) + 1, dtype=np.int64 if wide else np.int32)
+        for lo in range(0, len(ids), _SLICE):
+            out[lo + 1 : lo + 1 + _SLICE] = lengths[ids[lo : lo + _SLICE]]
+        np.cumsum(out, out=out)
+        return out.astype(np.int32) if wide and out[-1] <= _INT32_MAX else out
 
     def window_spans(self, w: int) -> np.ndarray:
         """The source span of each run of w consecutive tokens: entry j

@@ -28,7 +28,7 @@ from .errors import DataError, ParameterError, PositivityError
 from .ngram import ContextPredictor, log_loss_total
 from .tokenizer import PrefixVocabulary, TokenSequence, expand, greedy_parse
 
-# `_evaluate` reads the stop terms' probability rows for this many tokens at a time.
+# `_evaluate` takes tokens of about this many source symbols at a time.
 _SLICE = 1 << 16
 
 
@@ -109,7 +109,13 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     which is legitimate exactly when the window span reaches the
     predictor's context length (guaranteed by the gate).  A symbol's q is
     one entry of the flat table, at context * A + symbol; the stop terms
-    read whole rows, for 2^16 valid tokens at a time.
+    read whole rows.
+
+    The summed log-loss is a difference of the cumulative log-loss over the
+    source.  The tokens are taken in slices of about `_SLICE` source
+    symbols, and each slice expands its tokens, codes their contexts and
+    extends the cumulative log-loss from the last value of the slice
+    before, so the additions are the sequential ones of a single pass.
     """
     vocab = tp.vocab
     if stream.vocab is not vocab and not np.array_equal(stream.vocab.trans, vocab.trans):
@@ -121,51 +127,63 @@ def _evaluate(tp: TransferredPredictor, stream: TokenSequence, gate: int) -> Tok
     m = len(ids)
     if m - 1 <= w:
         raise DataError("token stream too short to evaluate")
-
-    y = expand(vocab, ids)
-    n = len(y)
+    offsets = stream.offsets
+    n = int(offsets[-1])
 
     # tokens w .. m-2 are evaluated, each after the span of the w before it
     valid = stream.window_spans(w)[: m - 1 - w] >= gate
-
-    # greedy maximality: the first symbol of a token never extends its
-    # predecessor, otherwise the parse would have kept growing
-    ext = vocab.ext_mask
-    if np.any(ext[ids[w - 1 : m - 2], vocab.first_symbols[ids[w : m - 1]]]):
-        raise ParameterError("stream is not a greedy parse under this vocabulary")
-
+    evaluated = bool(np.any(valid))
     losses = np.full(m - 1 - w, math.log2(vocab.size))
     stops = np.full(m - 1 - w, np.nan)
-    if np.any(valid) and n >= ws:
-        codes = q.context_codes(y)  # entry j: the context of source position j + ws
-        logq = q.table.ravel()[codes[:-1] * q.alphabet.size + y[ws:]]
+    ext = vocab.ext_mask
+    flat = q.table.ravel()
+    vanished = False
+    total = 0.0  # the cumulative log-loss up to context index `done`
+    done = 0  # context index j serves source position j + ws
+    step = max(_SLICE * m // n, 1)  # tokens per slice
+    for lo in range(w, m - 1, step):
+        hi = min(lo + step, m - 1)
+        # greedy maximality: the first symbol of a token never extends its
+        # predecessor, otherwise the parse would have kept growing
+        if np.any(ext[ids[lo - 1 : hi - 1], vocab.first_symbols[ids[lo:hi]]]):
+            raise ParameterError("stream is not a greedy parse under this vocabulary")
+        end = int(offsets[hi]) - ws  # the context index after the slice's last token
+        if not evaluated or end <= done:
+            continue
+        # source positions done .. end + ws - 1, from the token that holds
+        # the first (a key of the offsets' dtype keeps them from being copied)
+        first = int(np.searchsorted(offsets, offsets.dtype.type(done), side="right")) - 1
+        y = expand(vocab, ids[first:hi])[done - int(offsets[first]) :]
+        codes = q.context_codes(y)  # entry j: the context of index done + j
+        logq = flat[codes[:-1] * q.alphabet.size + y[ws:]]
         np.log2(logq, out=logq)
-        cum = np.zeros(n - ws + 1)
+        logq[0] += total
+        cum = np.empty(end - done + 1)
+        cum[0] = total
         np.cumsum(logq, out=cum[1:])
-        del logq
+        total = cum[-1]
 
-        vi = np.flatnonzero(valid) + w
-        s_idx = stream.offsets[vi] - ws
-        e_idx = stream.offsets[vi + 1] - ws
-        seqlog = cum[e_idx] - cum[s_idx]
-        stop = np.empty(vi.size)
-        den = np.empty(vi.size)
-        for lo in range(0, vi.size, _SLICE):
-            part = slice(lo, lo + _SLICE)
-            stop[part] = 1.0 - np.einsum("ij,ij->i", q.table[codes[e_idx[part]]],
-                                         ext[ids[vi[part]]].astype(np.float64))
-            den[part] = 1.0 - np.einsum("ij,ij->i", q.table[codes[s_idx[part]]],
-                                        ext[ids[vi[part] - 1]].astype(np.float64))
+        vi = np.flatnonzero(valid[lo - w : hi - w]) + lo
+        s_idx = offsets[vi] - ws - done
+        e_idx = offsets[vi + 1] - ws - done
+        done = end
+        stop = 1.0 - np.einsum("ij,ij->i", q.table[codes[e_idx]],
+                               ext[ids[vi]].astype(np.float64))
+        den = 1.0 - np.einsum("ij,ij->i", q.table[codes[s_idx]],
+                              ext[ids[vi - 1]].astype(np.float64))
         if np.any(stop <= 0) or np.any(den <= 0):
-            raise PositivityError("stop probability vanished on an interior token")
-        losses[valid] = -(seqlog + np.log2(stop) - np.log2(den))
-        stops[valid] = stop
+            vanished = True
+            continue
+        losses[vi - w] = -(cum[e_idx] - cum[s_idx] + np.log2(stop) - np.log2(den))
+        stops[vi - w] = stop
+    if vanished:
+        raise PositivityError("stop probability vanished on an interior token")
 
     return TokenLossBreakdown(
         losses=losses,
         valid=valid,
         stops=stops,
-        alpha=float(stream.offsets[-1] / m),
+        alpha=float(offsets[-1] / m),
     )
 
 

@@ -14,7 +14,10 @@ references for its faster replacements; so are the reshape step of the
 context chain and its direct solve, which the package now runs on one
 sparse chain matrix, and the token losses and log-loss total read from
 an (n, A) table of probability rows, which the package now reads from
-the flat table one entry per position.
+the flat table one entry per position.  The lockstep run that read each
+block of inputs whole, the sampler's uniforms read in stream order and
+the span statistics read off sorted span arrays are kept for the tiled
+reads, positioned draws and span histograms that replaced them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 
+import recoding.lockstep as lockstep
 from recoding.ngram import ContextPredictor
 from recoding.rng import SEQUENCE_STREAM, generator
 from recoding.sources import stationary_law, window_law
@@ -593,3 +597,85 @@ def oracle_row_log_loss_total(predictor, seq) -> float:
     if np.any(probs <= 0):
         return math.inf
     return float(-np.sum(np.log2(probs)))
+
+
+def oracle_whole_block_lockstep(read, pos: int, size: int, state: int, length: int, advance,
+                                run, guesses: tuple, dtype, warm: int):
+    """`lockstep._lockstep` as it read a block: all its whole chunks in one
+    read, from which the warm-up and the seam reruns take their inputs, and
+    the answer laid out apart from every guess's runs."""
+    chunks = size // length
+    whole = chunks * length
+    grid = read(pos, whole).reshape(chunks, length)
+    spec = np.empty((length, len(guesses), chunks), dtype=dtype)
+    cur = np.repeat(np.array(guesses, dtype=np.int64)[:, None], chunks, axis=1)
+    later = cur[:, 1:]
+    for t in range(length - warm, length):
+        later = advance(later, grid[:-1, t])
+    cur[:, 1:] = later
+    cur[:, 0] = state
+    start = cur.T.tolist()
+    for t in range(length):
+        cur = advance(cur, grid[:, t])
+        spec[t] = cur
+
+    rerun = 0
+    for c in range(1, chunks):
+        own = spec[:, :, c]
+        state = int(spec[-1, 0, c - 1])
+        met = start[c].index(state) if state in start[c] else -1
+        lo, width = 0, lockstep._FIRST_SLICE
+        while met < 0 and lo < length:
+            end = min(lo + width, length)
+            true = run(state, grid[c, lo:end])
+            rerun += end - lo
+            state = true[-1]
+            held = own[end - 1].tolist()
+            met = held.index(state) if state in held else -1
+            own[lo:end, 0] = true
+            lo = end
+            width *= 2
+        if met > 0:
+            own[lo:, 0] = own[lo:, met]
+    del grid
+    tail = lockstep._run_through(read, pos + whole, size - whole, int(spec[-1, 0, -1]), run,
+                                 dtype)
+    states = np.empty(size, dtype=dtype)
+    states[:whole].reshape(chunks, length)[...] = spec[:, 0].T
+    states[whole:] = tail
+    return states, rerun + tail.size
+
+
+def oracle_in_order_draws(seed: int):
+    """`sample_sequence`'s reads of symbol uniforms as it made them: from
+    one generator of the sequence stream, past the initial context's
+    uniform, in stream order only."""
+    rng = generator(seed, SEQUENCE_STREAM)
+    rng.random()
+    reached = [0]
+
+    def draw(pos: int, size: int) -> np.ndarray:
+        assert pos == reached[0], f"uniforms from {pos} read before those from {reached[0]}"
+        reached[0] = pos + size
+        return rng.random(size)
+
+    return draw
+
+
+def oracle_sorted_span_stats(stream, w: int, w_s_values, threshold: int) -> dict:
+    """The span statistics of w-token windows, the first w tokens dropped,
+    read off the span array: the histogram by `np.unique`, the worst case
+    by its minimum, epsilon by searching the sorted spans, and the
+    fraction below `threshold` by a mean over a mask."""
+    spans = stream.window_spans(w)[w:]
+    values, counts = np.unique(spans, return_counts=True)
+    total = counts.sum()
+    ordered = np.sort(spans)
+    return {
+        "histogram": {int(v): float(c) / total for v, c in zip(values, counts)},
+        "worst": int(spans.min()),
+        "epsilon": [float(np.searchsorted(ordered, ws, side="left")) / ordered.size
+                    for ws in w_s_values],
+        "below_threshold": float(np.mean(spans < threshold)),
+        "windows": spans.size,
+    }

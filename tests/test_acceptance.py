@@ -159,8 +159,7 @@ def test_criterion_6_typical_span_bound():
         stream = r.greedy_parse(vocab, seq)
         _, rate = r.compression_stats(stream)
         for w in (2, 4):
-            from recoding.spans import _window_spans
-            spans = np.sort(_window_spans(stream, w))
+            spans = np.sort(stream.window_spans(w)[w:])  # the first w tokens dropped
             targets = sorted({
                 int(min(spans[int(q * (len(spans) - 1))], 14))
                 for q in (0.1, 0.6)})

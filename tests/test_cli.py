@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import click
@@ -436,6 +437,22 @@ class TestHeavyHitting:
         assert result.stderr.splitlines() == [f"assumption violation: {message}"]
         assert [p.name for p in tmp_path.iterdir()] == ["kernel.json"]
 
+    def test_zero_probability_found_before_sampling(self, runner, tmp_path, monkeypatch):
+        """An irreducible kernel with a zero transition probability stops
+        before its n symbols are sampled and the budgets trained."""
+        def refuse(*args):
+            raise AssertionError("sampled a source that fails the assumption")
+
+        monkeypatch.setattr(cli, "sample_sequence", refuse)
+        kpath = tmp_path / "kernel.json"
+        kpath.write_text(json.dumps(
+            {"alphabet": ["0", "1"], "order": 1, "probs": [[0, 1], [0.5, 0.5]]}))
+        result = runner.invoke(main, ["heavy-hitting", "--kernel", str(kpath),
+                                      "--output-dir", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert result.stderr.splitlines() == [
+            "assumption violation: source has a zero transition probability"]
+
     def test_external_vocab_span_analysis(self, runner, tmp_path):
         # the neutral JSON vocabulary format is accepted directly
         vocab = r.PrefixVocabulary(r.Alphabet.of_size(2), ["010", "11"])
@@ -548,6 +565,16 @@ class TestBadInput:
         result = runner.invoke(main, argv + ["--output-dir", str(tmp_path)])
         assert_config_error(result, named)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+    def test_dirichlet_alpha_whose_rows_overflow(self, runner, tmp_path):
+        """Gamma(1e308) variates are finite but a row of two sums past the
+        float range: exit 2 naming the flag, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["gen-source", "--dirichlet-alpha", "1e308",
+                                          "--n", "100", "--output-dir", str(tmp_path)])
+        assert_config_error(result, "--dirichlet-alpha")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("inside", [False, True])
     def test_output_dir_not_a_directory(self, runner, tmp_path, inside):

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import recoding as r
 import recoding.lockstep as lockstep
 import recoding.sources as sources
-from oracles import oracle_capped_stationary, oracle_parse_loop, oracle_sample_loop
+from oracles import (
+    oracle_capped_stationary,
+    oracle_in_order_draws,
+    oracle_parse_loop,
+    oracle_sample_loop,
+    oracle_whole_block_lockstep,
+)
 from recoding.cli import main
 from recoding.demo_text import synthesize_corpus
 from recoding.rng import generator
@@ -194,6 +200,105 @@ class TestWarmUp:
         (cold, cold_rerun), (warm, warm_rerun) = runs
         assert np.array_equal(cold, warm)
         assert warm_rerun < cold_rerun
+
+
+def logged_reads(monkeypatch, module) -> list[tuple[int, int]]:
+    """Record the (pos, size) of every read that `module`'s runs make."""
+    reads = []
+    run_states = lockstep.run_states
+
+    def logged_run_states(n, read, *args):
+        def logged(pos, size):
+            reads.append((pos, size))
+            return read(pos, size)
+        return run_states(n, logged, *args)
+
+    monkeypatch.setattr(module, "run_states", logged_run_states)
+    return reads
+
+
+class TestTiles:
+    """Chunks longer than `_TILE` read their inputs a tile at a time, and
+    the sampler positions a generator for each chunk: the states are those
+    of the run that read each block whole with its uniforms in stream
+    order, and of the sequential loop, bit for bit.  Tiles of 13 divide no
+    chunk length used here."""
+
+    TILE = 13
+
+    def check_sample(self, monkeypatch, kernel, n, seed, length, block=lockstep._BLOCK):
+        expected = oracle_sample_loop(kernel, n, seed)
+        run_states = lockstep.run_states
+        with chunk_length(length), monkeypatch.context() as m:
+            m.setattr(lockstep, "_BLOCK", block)
+            with monkeypatch.context() as whole:
+                whole.setattr(lockstep, "_lockstep", oracle_whole_block_lockstep)
+                whole.setattr(sources, "run_states", lambda n, read, *args: run_states(
+                    n, oracle_in_order_draws(seed), *args))
+                assert np.array_equal(r.sample_sequence(kernel, n, seed), expected)
+            m.setattr(lockstep, "_TILE", self.TILE)
+            reads = logged_reads(m, sources)
+            got = r.sample_sequence(kernel, n, seed)
+        assert np.array_equal(got, expected)
+        return reads
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alpha", [0.2, 2.0])
+    def test_warm_up_longer_than_a_tile(self, monkeypatch, seed, alpha):
+        """Order 4: each chunk of 100 warms up over the last 25 inputs of
+        the one before it, two tiles and part of a third."""
+        kernel = r.sample_kernel(2, 4, alpha, seed)
+        self.check_sample(monkeypatch, kernel, 40 * 100 + 37, seed, 100)
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_seams_rerun_across_tile_edges(self, monkeypatch, order):
+        """The cycle's runs never meet, so every seam reruns its whole
+        chunk, in slices of 8 and then of one tile."""
+        self.check_sample(monkeypatch, cycle_kernel(order), 30 * 100 + 11, order, 100)
+
+    @pytest.mark.parametrize("kernel", [cycle_kernel(3), r.sample_kernel(3, 2, 0.5, 8)])
+    def test_blocks_and_their_tails(self, monkeypatch, kernel):
+        """Blocks of 960 positions (15 chunks of 64) and a last block of
+        900, whose 14 whole chunks leave a tail of 4."""
+        self.check_sample(monkeypatch, kernel, 2 * 960 + 900, 8, 64, block=1000)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reads_take_at_most_one_tile_of_a_chunk(self, monkeypatch, seed):
+        """Three blocks of 15 whole chunks: every read, the warm-up's and
+        the seam reruns' too, is at most one tile of one chunk.  A chunk's
+        reads each start where its last one ended, so one generator per
+        chunk is positioned, at its warm-up, and none for the first chunk
+        of a block, which starts where the block before ended."""
+        kernel = r.sample_kernel(2, 5, 0.3, seed)
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return generator(*args)
+
+        monkeypatch.setattr(sources, "generator", counted)
+        reads = self.check_sample(monkeypatch, kernel, 3 * 960, seed, 64, block=1000)
+        assert max(size for _, size in reads) <= self.TILE
+        # the whole-block run's one generator, the tiled run's first, then
+        # one per chunk but the first of each block
+        assert len(made) == 2 + 3 * 14
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("length", [50, 100])
+    def test_parse(self, monkeypatch, seed, length):
+        rng = generator(seed, 93)
+        a = 2 + seed % 2
+        vocab = r.train_bpe(rng.integers(0, a, size=500), a + 12, r.Alphabet.of_size(a))
+        seq = rng.integers(0, a, size=2900).astype(np.uint8)
+        expected = oracle_parse_loop(vocab, seq)
+        with chunk_length(length), monkeypatch.context() as m:
+            m.setattr(lockstep, "_BLOCK", 1000)
+            with monkeypatch.context() as whole:
+                whole.setattr(lockstep, "_lockstep", oracle_whole_block_lockstep)
+                assert np.array_equal(r.greedy_parse(vocab, seq).ids, expected)
+            m.setattr(lockstep, "_TILE", self.TILE)
+            got = r.greedy_parse(vocab, seq).ids
+        assert np.array_equal(got, expected)
 
 
 class TestGuideTable:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import recoding as r
-from oracles import oracle_p_max
+import recoding.spans as spans
+from oracles import oracle_p_max, oracle_sorted_span_stats
 from recoding.rng import generator
 
 
@@ -101,6 +102,55 @@ class TestWorstCaseSpan:
         _, vocab, stream = lzw_setup
         for w in (1, 2, 4):
             assert w * vocab.lengths.min() <= r.worst_case_span(stream, w)
+
+
+class TestHistogramMatchesSortedSpans:
+    """Every span statistic read off the histogram against the same
+    statistic read off the span array, exactly, with the histogram counted
+    in slices of 7 windows."""
+
+    def streams(self, binary, lzw_setup):
+        _, _, lzw = lzw_setup
+        seq = r.sample_sequence(r.sample_kernel(2, 1, 0.5, 1), 500, 2)
+        bpe = r.train_bpe(seq, 6, binary)
+        return [r.greedy_parse(r.PrefixVocabulary(binary, []), seq), r.greedy_parse(bpe, seq),
+                lzw]
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 9])
+    def test_statistics(self, monkeypatch, binary, lzw_setup, w):
+        monkeypatch.setattr(spans, "_SLICE", 7)
+        k = r.sample_kernel(2, 1, 0.5, 1)
+        for stream in self.streams(binary, lzw_setup):
+            report = r.span_distribution(stream, w)
+            longest = max(report.span_histogram)
+            sweep = [0, 1, 2, report.worst_case_span, report.worst_case_span + 1, longest,
+                     longest + 1, longest + 50]
+            # a scale ell_d of about 7 symbols puts the window threshold
+            # inside the LZW stream's span range
+            hh = r.heavy_hitting_report(k, stream, 0.99, 2**40, w)
+            want = oracle_sorted_span_stats(stream, w, sweep, hh.window_span_threshold)
+            assert report.span_histogram == want["histogram"]
+            assert report.worst_case_span == r.worst_case_span(stream, w) == want["worst"]
+            curve = r.slack_curve(stream, w, sweep)
+            assert curve == report.slack(sweep)
+            assert [eps for _, eps, _ in curve] == want["epsilon"]
+            assert [ws for ws, _, _ in curve] == sweep
+            assert hh.window_fail_prob == want["below_threshold"]
+            assert hh.window_fail_se == math.sqrt(
+                max(want["below_threshold"] * (1 - want["below_threshold"]), 0.0)
+                / want["windows"])
+
+    def test_histogram_is_counted_once_per_window(self, monkeypatch, lzw_setup):
+        """`span-cdf` reads a window's report and slack curve off one
+        histogram."""
+        _, _, stream = lzw_setup
+        counted = []
+        count = spans._span_counts
+        monkeypatch.setattr(spans, "_span_counts",
+                            lambda *args: counted.append(args) or count(*args))
+        report = r.span_distribution(stream, 4)
+        report.slack(range(1, 60))
+        assert len(counted) == 1
 
 
 class TestTypicalEpsilon:

@@ -233,7 +233,7 @@ class TestOffsets:
         want = [0]
         for tid in stream.ids.tolist():
             want.append(want[-1] + len(vocab.entries[tid]))
-        assert stream.offsets.dtype == np.int64
+        assert stream.offsets.dtype == np.int32
         assert stream.offsets.tolist() == want
         assert r.compression_stats(stream)[0] == vocab.lengths[stream.ids].mean()
         m = len(stream)
@@ -247,6 +247,20 @@ class TestOffsets:
             stream = r.greedy_parse(vocab, seq)
             self.check(stream)
             assert stream.offsets[-1] == len(seq)
+
+    @pytest.mark.parametrize("lengths, dtype", [
+        ([2**29] * 3, np.int32),  # three times the longest entry fits
+        ([2**30, 2**30 - 6, 5], np.int32),  # the source length is the largest int32
+        ([2**30, 2**30 - 5, 5], np.int64),  # one past it
+    ])
+    def test_dtype_at_the_int32_limit(self, binary, monkeypatch, lengths, dtype):
+        """int32 while the source length fits in it; the entry lengths are
+        patched, so no source of that length is made."""
+        vocab = r.PrefixVocabulary(binary, ["00"])
+        stream = r.TokenSequence(vocab, np.arange(3, dtype=np.uint8))
+        monkeypatch.setattr(vocab, "lengths", np.array(lengths))
+        assert stream.offsets.dtype == dtype
+        assert stream.offsets.tolist() == [0, *np.cumsum(lengths).tolist()]
 
     def test_one_token_stream(self, fig_vocab):
         stream = r.greedy_parse(fig_vocab, "010")

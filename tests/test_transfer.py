@@ -219,6 +219,46 @@ class TestEvaluateMatchesRows:
                 assert 0 < got.bad_window_fraction() < 1
 
 
+class TestEvaluateInSlices:
+    """`_evaluate` taken a few source symbols at a time: each slice
+    expands its own tokens and carries the cumulative log-loss on, so
+    every value is still that of the one-pass evaluation over rows, bit
+    for bit.  LZW tokens are longer than a slice, so some slices hold one
+    token and reach back over several for their context."""
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("method", ["bpe", "lzw"])
+    @pytest.mark.parametrize("w", [1, 2, 4])
+    def test_bit_for_bit(self, monkeypatch, a, method, w):
+        monkeypatch.setattr(transfer, "_SLICE", 3)
+        k = r.sample_kernel(a, 2, 0.5, 60 + a)
+        seq = r.sample_sequence(k, 2000, 60 + a)
+        vocab = r.train_vocabularies(seq[:1000], k.alphabet, [(method, a + 12)])[0]
+        stream = r.greedy_parse(vocab, seq)
+        for ws in (w, 6):
+            tp = r.TransferredPredictor(r.optimal_predictor(k, ws).smoothed(1e-3), vocab, w)
+            for gate in (ws, ws + 3):
+                got = r.TypicalPredictor(tp, gate).token_log_losses(stream)
+                want = oracle_row_evaluate(tp, stream, gate)
+                assert np.array_equal(got.losses, want["losses"])
+                assert np.array_equal(got.stops, want["stops"], equal_nan=True)
+                assert np.array_equal(got.valid, want["valid"])
+                assert got.alpha == want["alpha"]
+
+    def test_no_valid_window(self, monkeypatch):
+        """A gate above every span leaves every token at the uniform loss."""
+        monkeypatch.setattr(transfer, "_SLICE", 3)
+        k = r.sample_kernel(2, 2, 0.5, 61)
+        seq = r.sample_sequence(k, 500, 61)
+        vocab = r.train_lzw(seq, 16, k.alphabet)
+        stream = r.greedy_parse(vocab, seq)
+        tp = r.TransferredPredictor(r.optimal_predictor(k, 2).smoothed(1e-3), vocab, 2)
+        got = r.TypicalPredictor(tp, 501).token_log_losses(stream)
+        assert not got.valid.any()
+        assert np.all(got.losses == math.log2(vocab.size))
+        assert np.isnan(got.stops).all()
+
+
 class TestBoundedDifference:
     def test_difference_does_not_grow(self, k1, smoothed_q, fig_vocab):
         diffs = []
